@@ -24,7 +24,6 @@ from .generators import (
     exchange_generators,
     free_generator,
     partial_trace,
-    state_trace,
 )
 from .geometry import Configuration, PhysParams, exchange_coupling
 from .oracle import (
@@ -97,7 +96,6 @@ __all__ = [
     "oracle_spectrum_result",
     "partial_trace",
     "peak_weight",
-    "state_trace",
     "strong_field_spectra",
     "total_terms",
     "weak_field_spectra",

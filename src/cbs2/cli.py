@@ -224,8 +224,8 @@ def cmd_spectrum(args) -> int:
     if args.method == "numeric":
         engine = SpectrumEngine(params, Configuration())
         ladder, crossed = engine.densities(nu)
-        ladder_el, crossed_el = engine.elastic_weights()
         terms = intensity_terms(engine.pert, engine.cfg).normalized()
+        ladder_el, crossed_el = terms.ladder_elastic, terms.crossed_elastic
         ladder_inel_total = terms.ladder_inelastic
     elif args.method == "oracle_weak":
         if args.omega > 0.3:

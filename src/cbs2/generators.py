@@ -105,10 +105,9 @@ def sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Generator:
-    """Dense Liouville-space generator with a short descriptive label."""
+    """Dense Liouville-space generator."""
 
     matrix: np.ndarray
-    label: str
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -144,7 +143,7 @@ def free_generator(params: PhysParams, phi_L: float = 0.0) -> Generator:
             proj = transition_operator(atom, level, "projector")
             mat += 2.0 * gamma * sandwich(lower, lower.conj().T)
             mat -= gamma * (spre(proj) + spost(proj))
-    return Generator(mat, f"free(omega={omega:g}, delta={delta:g}, phi={phi_L:g})")
+    return Generator(mat)
 
 
 def exchange_generators_from_tensor(tensor: np.ndarray) -> tuple[Generator, Generator]:
@@ -176,16 +175,12 @@ def exchange_generators_from_tensor(tensor: np.ndarray) -> tuple[Generator, Gene
                     sandwich(d_a[j], d_b[i].conj().T)
                     - sandwich(d_b[i].conj().T @ d_a[j], eye)
                 )
-    return Generator(v_plus, "exchange(+)"), Generator(v_minus, "exchange(-)")
+    return Generator(v_plus), Generator(v_minus)
 
 
 def exchange_generators(n_hat: np.ndarray, gamma: float = 1.0) -> tuple[Generator, Generator]:
     """Exchange generators for an atom pair oriented along n_hat."""
     return exchange_generators_from_tensor(gamma * transverse_projector(n_hat))
-
-
-def state_trace(rho: np.ndarray) -> complex:
-    return complex(np.trace(np.asarray(rho)))
 
 
 def partial_trace(rho: np.ndarray, keep_atom: int) -> np.ndarray:

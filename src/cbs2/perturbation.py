@@ -7,12 +7,13 @@ at combined order m + n = 2, and of those only (1, 1) survives the
 configuration average over interatomic distances.
 
 All correction orders are traceless and are obtained from deflated linear
-solves on the traceless subspace, where the free generator is invertible.
+solves on the traceless subspace, where the free generator is invertible;
+the same deflated resolvent serves the spectral sweep at z = -i nu.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
@@ -37,6 +38,16 @@ class DegeneracyError(RuntimeError):
     """The free generator has more than one stationary direction."""
 
 
+def _trace_row_solve(matrix: np.ndarray) -> np.ndarray:
+    """Solve matrix @ rho = 0 subject to tr rho = 1 by replacing the first
+    row of the system with the trace constraint; returns the flat rho."""
+    a = matrix.copy()
+    a[0, :] = TRACE_VECTOR
+    b = np.zeros(a.shape[0], dtype=complex)
+    b[0] = 1.0
+    return la.solve(a, b)
+
+
 def zeroth_steady_state(gen: Generator) -> np.ndarray:
     """Unique trace-one stationary state of the free generator.
 
@@ -52,11 +63,7 @@ def zeroth_steady_state(gen: Generator) -> np.ndarray:
             f"{sv[-2]:.3e} vs scale {scale:.3e})"
         )
 
-    a = gen.matrix.copy()
-    a[0, :] = TRACE_VECTOR
-    b = np.zeros(a.shape[0], dtype=complex)
-    b[0] = 1.0
-    rho = la.solve(a, b).reshape(HILBERT_DIM, HILBERT_DIM)
+    rho = _trace_row_solve(gen.matrix).reshape(HILBERT_DIM, HILBERT_DIM)
     rho = 0.5 * (rho + rho.conj().T)
 
     residual = np.linalg.norm(gen.matrix @ rho.reshape(-1))
@@ -68,33 +75,53 @@ def zeroth_steady_state(gen: Generator) -> np.ndarray:
     return rho
 
 
-class TracelessSolver:
-    """LU-backed solver for L x = b restricted to the traceless subspace.
+class ResolventPoleError(RuntimeError):
+    """Resolvent solve at a spectral point of the generator: the deflated
+    system is singular or its solution fails the residual check."""
 
-    The zero mode of the generator is deflated by the rank-one shift
-    L + shift * |rho0><trace|, which leaves the action on traceless
-    vectors untouched and is invertible whenever the stationary direction
-    is unique.
+
+class DeflatedResolvent:
+    """LU-backed solves of (L - z) X = B for traceless right-hand sides.
+
+    The rank-one term |rho0><trace| moves the stationary eigenvalue of L
+    from 0 to 1 and leaves the action on traceless vectors unchanged.  The
+    deflated matrix minus z is therefore regular on the whole imaginary
+    axis, z = 0 included, whenever the stationary direction is unique and
+    all other modes decay, and its inverse keeps B traceless.  No
+    eigenvectors are formed, so exceptional points of L need no special
+    treatment.  The LU factorization of the last z is kept for further
+    solves at that z.
     """
 
-    def __init__(self, gen: Generator, rho0: np.ndarray, shift: float = 1.0):
-        deflated = gen.matrix + shift * np.outer(
+    def __init__(self, gen: Generator, rho0: np.ndarray):
+        self._matrix = gen.matrix
+        self._deflated = gen.matrix + np.outer(
             np.asarray(rho0, dtype=complex).reshape(-1), TRACE_VECTOR
         )
-        self._lu = la.lu_factor(deflated)
-        self._matrix = gen.matrix
+        self._z = None
+        self._lu = None
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve L x = rhs for traceless rhs; the solution is traceless."""
-        flat = np.asarray(rhs, dtype=complex).reshape(-1)
-        trace = TRACE_VECTOR @ flat
-        if abs(trace) > 1e-10 * max(np.linalg.norm(flat), 1e-300):
-            raise ValueError(f"right-hand side must be traceless, trace = {trace:.3e}")
-        x = la.lu_solve(self._lu, flat)
-        residual = np.linalg.norm(self._matrix @ x - flat)
-        if residual > 1e-10 * max(np.linalg.norm(flat), 1e-300):
-            raise RuntimeError(f"traceless solve residual {residual:.3e}")
-        return x.reshape(HILBERT_DIM, HILBERT_DIM)
+    def solve(self, z: complex, rhs: np.ndarray) -> np.ndarray:
+        """Solve (L - z) X = B for a traceless 256-vector or 256 x k block."""
+        b = np.asarray(rhs, dtype=complex)
+        trace = np.abs(TRACE_VECTOR @ b)
+        if np.any(trace > 1e-10 * np.maximum(np.linalg.norm(b, axis=0), 1e-300)):
+            raise ValueError(
+                f"right-hand side must be traceless, trace = {np.max(trace):.3e}"
+            )
+        if z != self._z:
+            shifted = self._deflated.copy()
+            shifted.flat[:: shifted.shape[0] + 1] -= z
+            self._lu = la.lu_factor(shifted, overwrite_a=True)
+            self._z = z
+        # the residual test below also rejects non-finite input and output
+        x = la.lu_solve(self._lu, b, check_finite=False)
+        residual = np.linalg.norm(self._matrix @ x - z * x - b)
+        if not residual <= 1e-10 * max(np.linalg.norm(b), 1e-300):
+            raise ResolventPoleError(
+                f"deflated resolvent at z = {z} left residual {residual:.3e}"
+            )
+        return x
 
 
 @dataclass(frozen=True)
@@ -104,10 +131,14 @@ class PerturbativeState:
     orders maps (m, n) to the coefficient of g^m conj(g)^n.  Order (0, 0)
     is the product state of the uncoupled atoms; orders in
     AVERAGING_DROPS are kept for completeness but carry distance phases
-    that average to zero.
+    that average to zero.  The generators the orders were computed from
+    are kept for the spectral sweep.
     """
 
     orders: dict
+    free: Generator = field(repr=False)
+    v_plus: Generator = field(repr=False)
+    v_minus: Generator = field(repr=False)
 
     def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
         return self.orders[key]
@@ -120,17 +151,20 @@ def perturbative_corrections(
     rho0: np.ndarray,
 ) -> PerturbativeState:
     """Expand the stationary state to combined second order in g, conj(g)."""
-    solver = TracelessSolver(free, rho0)
+    resolvent = DeflatedResolvent(free, rho0)
     vp, vm = v_plus.matrix, v_minus.matrix
 
     def push(v_matrix: np.ndarray, state: np.ndarray) -> np.ndarray:
-        return -(v_matrix @ state.reshape(-1)).reshape(HILBERT_DIM, HILBERT_DIM)
+        return -(v_matrix @ state.reshape(-1))
 
-    rho_10 = solver.solve(push(vp, rho0))
-    rho_01 = solver.solve(push(vm, rho0))
-    rho_11 = solver.solve(push(vp, rho_01) + push(vm, rho_10))
-    rho_20 = solver.solve(push(vp, rho_10))
-    rho_02 = solver.solve(push(vm, rho_01))
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        return resolvent.solve(0.0, rhs).reshape(HILBERT_DIM, HILBERT_DIM)
+
+    rho_10 = solve(push(vp, rho0))
+    rho_01 = solve(push(vm, rho0))
+    rho_11 = solve(push(vp, rho_01) + push(vm, rho_10))
+    rho_20 = solve(push(vp, rho_10))
+    rho_02 = solve(push(vm, rho_01))
 
     orders = {
         (0, 0): rho0,
@@ -146,7 +180,7 @@ def perturbative_corrections(
         trace = abs(np.trace(state))
         if trace > 1e-12 * max(np.linalg.norm(state), 1e-300):
             raise RuntimeError(f"order {key} correction has trace {trace:.3e}")
-    return PerturbativeState(orders)
+    return PerturbativeState(orders, free, v_plus, v_minus)
 
 
 @single_blas_thread()
@@ -156,6 +190,17 @@ def build_expansion(params: PhysParams, cfg: Configuration) -> PerturbativeState
     v_plus, v_minus = exchange_generators(cfg.n_hat, params.gamma)
     rho0 = zeroth_steady_state(free)
     return perturbative_corrections(free, v_plus, v_minus, rho0)
+
+
+def checked_geometry_weight(weight: float) -> float:
+    """Return the orientation factor, refusing orientations that give the
+    helicity-preserving channel no double-scattering signal."""
+    if weight < 1e-12:
+        raise ValueError(
+            "orientation is degenerate for the helicity-preserving channel "
+            "(n_hat along the laser axis gives no double-scattering signal)"
+        )
+    return weight
 
 
 @dataclass(frozen=True)
@@ -181,12 +226,7 @@ class IntensityTerms:
     def normalized(self) -> "IntensityTerms":
         """Divide out the orientation factor; the isotropic configuration
         average is then value * 2/15 in units of |g at the mean distance|^2."""
-        w = self.geometry_weight
-        if w < 1e-12:
-            raise ValueError(
-                "orientation is degenerate for the helicity-preserving channel "
-                "(n_hat along the laser axis gives no double-scattering signal)"
-            )
+        w = checked_geometry_weight(self.geometry_weight)
         return IntensityTerms(
             ladder_total=self.ladder_total / w,
             crossed_total=self.crossed_total / w,
@@ -256,6 +296,7 @@ def intensity_terms(pert: PerturbativeState, cfg: Configuration) -> IntensityTer
 def numeric_enhancement(params: PhysParams, cfg: Configuration) -> float:
     """Backscattering enhancement factor 1 + crossed/ladder from the
     master-equation expansion."""
+    checked_geometry_weight(cfg.geometry_weight)
     terms = intensity_terms(build_expansion(params, cfg), cfg)
     return 1.0 + terms.crossed_total / terms.ladder_total
 
@@ -286,13 +327,11 @@ def nonperturbative_intensity(
 
     ladder_acc = 0.0
     cross_acc = 0.0 + 0.0j
-    b = np.zeros(free.matrix.shape[0], dtype=complex)
-    b[0] = 1.0
     for k in range(n_phases):
         g = g_mag * np.exp(2j * np.pi * k / n_phases)
-        full = free.matrix + g * v_plus.matrix + np.conj(g) * v_minus.matrix
-        full[0, :] = TRACE_VECTOR
-        rho = la.solve(full, b)
+        rho = _trace_row_solve(
+            free.matrix + g * v_plus.matrix + np.conj(g) * v_minus.matrix
+        )
         ladder_acc += (proj_sum @ rho).real
         cross_acc += cross_vec @ rho
     ladder = ladder_acc / n_phases / g_mag**2

@@ -18,31 +18,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 from scipy.interpolate import InterpolatedUnivariateSpline
 
 from ._blas import single_blas_thread
-from .generators import (
-    Generator,
-    HILBERT_DIM,
-    TRACE_VECTOR,
-    exchange_generators,
-    free_generator,
-    transition_operator,
-)
+from .generators import transition_operator
 from .geometry import Configuration, PhysParams
 from .perturbation import (
+    DeflatedResolvent,
     PerturbativeState,
+    ResolventPoleError,
     build_expansion,
+    checked_geometry_weight,
     intensity_terms,
     mean_dipole_orders,
 )
 
 SOURCE_ORDERS = ((0, 0), (1, 0), (0, 1), (1, 1))
-
-
-class ResolventPoleError(RuntimeError):
-    """Resolvent requested at a spectral point of the generator."""
 
 
 class GridCoverageError(ValueError):
@@ -84,68 +75,6 @@ def regression_sources(pert: PerturbativeState, atom: int) -> RegressionSources:
                 f"connected source ({m},{n}) has trace {trace:.3e}"
             )
     return RegressionSources(atom=atom, raw=raw, connected=connected, dipoles=dipoles)
-
-
-def resolvent_apply(
-    gen: Generator,
-    z: complex,
-    source: np.ndarray,
-    rho0: np.ndarray | None = None,
-    shift: float = 1.0,
-) -> np.ndarray:
-    """Solve (z - L) x = source for one Laplace frequency.
-
-    Traceless sources are solved through the deflated system, which is
-    regular everywhere on the imaginary axis including z = 0, provided
-    the stationary state rho0 is supplied.  Sources with a trace fall
-    back to a direct solve and raise ResolventPoleError when z sits on
-    the spectrum of the generator.
-    """
-    flat = np.asarray(source, dtype=complex).reshape(-1)
-    matrix = z * np.eye(gen.matrix.shape[0]) - gen.matrix
-    traceless = abs(TRACE_VECTOR @ flat) <= 1e-10 * max(np.linalg.norm(flat), 1e-300)
-    if traceless and rho0 is not None:
-        matrix += shift * np.outer(
-            np.asarray(rho0, dtype=complex).reshape(-1), TRACE_VECTOR
-        )
-    try:
-        x = la.solve(matrix, flat)
-    except la.LinAlgError as exc:
-        raise ResolventPoleError(f"singular resolvent at z = {z}") from exc
-    residual = np.linalg.norm(z * x - gen.matrix @ x - flat)
-    if residual > 1e-10 * max(np.linalg.norm(flat), 1e-300):
-        raise ResolventPoleError(
-            f"resolvent solve at z = {z} left residual {residual:.3e}"
-        )
-    return x.reshape(HILBERT_DIM, HILBERT_DIM)
-
-
-class _SchurResolvent:
-    """Shared Schur factorization for sweeps of (z - L)^-1 over many z.
-
-    The generator is deflated by the rank-one stationary shift once; each
-    frequency then costs one triangular solve per right-hand side.  Valid
-    only for traceless right-hand sides.
-    """
-
-    def __init__(self, gen: Generator, rho0: np.ndarray, shift: float = 1.0):
-        deflated = gen.matrix - shift * np.outer(
-            np.asarray(rho0, dtype=complex).reshape(-1), TRACE_VECTOR
-        )
-        self._t, self._q = la.schur(deflated, output="complex")
-        self._matrix = gen.matrix
-        self._eye = np.eye(gen.matrix.shape[0])
-
-    def solve_batch(self, z: complex, rhs: np.ndarray) -> np.ndarray:
-        """Solve (z - L) X = B column-wise for a 256 x k block B."""
-        y = la.solve_triangular(z * self._eye - self._t, self._q.conj().T @ rhs)
-        x = self._q @ y
-        residual = np.linalg.norm(z * x - self._matrix @ x - rhs)
-        if residual > 1e-9 * max(np.linalg.norm(rhs), 1e-300):
-            raise ResolventPoleError(
-                f"batched resolvent at z = {z} left residual {residual:.3e}"
-            )
-        return x
 
 
 @dataclass(frozen=True)
@@ -236,22 +165,18 @@ def default_frequency_grid(
 
 
 class SpectrumEngine:
-    """Caches generators, expansion orders and the Schur factorization for
-    repeated spectral-density evaluations at one parameter point."""
+    """Caches the expansion orders, with their generators, and the deflated
+    resolvent for repeated spectral-density evaluations at one parameter
+    point."""
 
     @single_blas_thread()
     def __init__(self, params: PhysParams, cfg: Configuration):
-        if cfg.geometry_weight < 1e-12:
-            raise ValueError(
-                "orientation is degenerate for the helicity-preserving channel"
-            )
+        checked_geometry_weight(cfg.geometry_weight)
         self.params = params
         self.cfg = cfg
-        self.free = free_generator(params, cfg.phi_L)
-        self.v_plus, self.v_minus = exchange_generators(cfg.n_hat, params.gamma)
         self.pert = build_expansion(params, cfg)
         self.sources = {1: regression_sources(self.pert, 1), 2: regression_sources(self.pert, 2)}
-        self._resolvent = _SchurResolvent(self.free, self.pert[(0, 0)])
+        self._resolvent = DeflatedResolvent(self.pert.free, self.pert[(0, 0)])
         lower = {b: transition_operator(b, 2, "lowering") for b in (1, 2)}
         self._functionals = {b: lower[b].T.reshape(-1) for b in (1, 2)}
         self._stage1 = np.stack(
@@ -268,9 +193,13 @@ class SpectrumEngine:
         (units of gamma); entry [a-1, b-1] pairs source atom a with
         detection functional atom b."""
         z = -1j * nu * self.params.gamma
-        vp, vm = self.v_plus.matrix, self.v_minus.matrix
+        vp, vm = self.pert.v_plus.matrix, self.pert.v_minus.matrix
 
-        y = self._resolvent.solve_batch(z, self._stage1)
+        def resolve(rhs: np.ndarray) -> np.ndarray:
+            # (z - L)^-1 = -(L - z)^-1
+            return -self._resolvent.solve(z, rhs)
+
+        y = resolve(self._stage1)
         # columns per atom a: y11, y01, y10, y00
         stage2 = np.empty_like(y[:, :8])
         for col, a in ((0, 0), (4, 1)):
@@ -278,12 +207,12 @@ class SpectrumEngine:
             stage2[:, col + 1] = vm @ y[:, 4 * a + 2]
             stage2[:, col + 2] = vp @ y[:, 4 * a + 3]
             stage2[:, col + 3] = vm @ y[:, 4 * a + 3]
-        u = self._resolvent.solve_batch(z, stage2)
+        u = resolve(stage2)
         stage3 = np.empty((y.shape[0], 4), dtype=complex)
         for col, a in ((0, 0), (2, 1)):
             stage3[:, col + 0] = vm @ u[:, 4 * a + 2]
             stage3[:, col + 1] = vp @ u[:, 4 * a + 3]
-        v = self._resolvent.solve_batch(z, stage3)
+        v = resolve(stage3)
 
         out = np.empty((2, 2), dtype=complex)
         for a in (0, 1):
@@ -314,16 +243,8 @@ class SpectrumEngine:
 
     def elastic_weights(self) -> tuple[float, float]:
         """Normalized elastic delta weights (ladder, crossed)."""
-        d1 = self.sources[1].dipoles
-        d2 = self.sources[2].dipoles
-        phase = np.exp(1j * self.cfg.phi_L)
-        weight = self.cfg.geometry_weight
-        ladder = sum(
-            abs(d[(1, 0)]) ** 2 + abs(d[(0, 1)]) ** 2 for d in (d1, d2)
-        ) / weight
-        pair = d1[(1, 0)] * np.conj(d2[(1, 0)]) + d1[(0, 1)] * np.conj(d2[(0, 1)])
-        crossed = 2.0 * (pair * phase).real / weight
-        return ladder, crossed
+        terms = intensity_terms(self.pert, self.cfg).normalized()
+        return terms.ladder_elastic, terms.crossed_elastic
 
     def spectrum(
         self, nu_grid: np.ndarray | None = None, points: int = 2000

@@ -24,7 +24,6 @@ from cbs2.generators import (
     sandwich,
     spost,
     spre,
-    state_trace,
     transition_operator,
 )
 from cbs2.geometry import PhysParams, transverse_projector
@@ -261,7 +260,7 @@ def test_state_trace_and_partial_trace(gen_rng):
     a = random_state(gen_rng, 4)
     b = random_state(gen_rng, 4)
     rho = np.kron(a, b)
-    assert abs(state_trace(rho) - 1.0) < 1e-12
+    assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.allclose(partial_trace(rho, 1), a, atol=1e-12)
     assert np.allclose(partial_trace(rho, 2), b, atol=1e-12)
     with pytest.raises(ValueError):

@@ -15,8 +15,8 @@ from cbs2.generators import (
 from cbs2.geometry import Configuration, PhysParams
 from cbs2.perturbation import (
     AVERAGING_DROPS,
+    DeflatedResolvent,
     DegeneracyError,
-    TracelessSolver,
     build_expansion,
     intensity_terms,
     mean_dipole_orders,
@@ -81,7 +81,7 @@ def test_zeroth_order_populations():
 
 
 def test_zeroth_order_degeneracy_guard():
-    null_gen = Generator(np.zeros((LIOUVILLE_DIM, LIOUVILLE_DIM), dtype=complex), "null")
+    null_gen = Generator(np.zeros((LIOUVILLE_DIM, LIOUVILLE_DIM), dtype=complex))
     with pytest.raises(DegeneracyError):
         zeroth_steady_state(null_gen)
 
@@ -91,13 +91,13 @@ def test_traceless_solver_contract():
     params = PhysParams.from_saturation(1.0)
     free = free_generator(params)
     rho0 = zeroth_steady_state(free)
-    solver = TracelessSolver(free, rho0)
+    solver = DeflatedResolvent(free, rho0)
     for _ in range(5):
         rhs = rng.standard_normal((HILBERT_DIM, HILBERT_DIM)) + 1j * rng.standard_normal(
             (HILBERT_DIM, HILBERT_DIM)
         )
         rhs -= np.trace(rhs) / HILBERT_DIM * np.eye(HILBERT_DIM)
-        x = solver.solve(rhs)
+        x = solver.solve(0.0, rhs.reshape(-1)).reshape(HILBERT_DIM, HILBERT_DIM)
         assert abs(np.trace(x)) < 1e-10
         residual = free.apply(x) - rhs
         assert np.max(np.abs(residual)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
@@ -213,6 +213,15 @@ def test_normalized_rejects_degenerate_orientation():
     terms = intensity_terms(build_expansion(params, cfg), cfg)
     with pytest.raises(ValueError):
         terms.normalized()
+
+
+def test_numeric_enhancement_rejects_degenerate_orientation():
+    # geometry weight 0: both intensities are rounding noise, whose ratio
+    # is no enhancement factor
+    with pytest.raises(ValueError, match="degenerate"):
+        numeric_enhancement(
+            PhysParams.from_saturation(1.0), Configuration(n_hat=(0.0, 0.0, 1.0))
+        )
 
 
 def test_intensities_invariant_under_decay_rate_rescale():

@@ -7,15 +7,19 @@ with the closed-form weak-drive limit.
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from cbs2 import _blas, oracle
 from cbs2.generators import (
     EXCITED_LEVELS,
+    LIOUVILLE_DIM,
+    TRACE_VECTOR,
+    Generator,
     free_generator,
     transition_operator,
 )
 from cbs2.geometry import Configuration, PhysParams
-from cbs2.perturbation import build_expansion, zeroth_steady_state
+from cbs2.perturbation import DeflatedResolvent, build_expansion, zeroth_steady_state
 from cbs2.spectrum import (
     GridCoverageError,
     ResolventPoleError,
@@ -25,7 +29,6 @@ from cbs2.spectrum import (
     integrate_spectrum,
     oracle_spectrum_result,
     regression_sources,
-    resolvent_apply,
 )
 
 
@@ -40,17 +43,23 @@ def free_and_rho0():
     return free, zeroth_steady_state(free)
 
 
+def resolvent_apply(free, rho0, z, src):
+    """(z - L)^-1 src for a traceless 16 x 16 source."""
+    x = -DeflatedResolvent(free, rho0).solve(z, src.reshape(-1))
+    return x.reshape(16, 16)
+
+
 def test_resolvent_residual_and_large_z(free_and_rho0):
     free, rho0 = free_and_rho0
     rng = np.random.default_rng(5)
     src = random_traceless(rng)
     z = 1.0 - 1.0j
-    x = resolvent_apply(free, z, src, rho0=rho0)
+    x = resolvent_apply(free, rho0, z, src)
     residual = z * x - free.apply(x) - src
     assert np.max(np.abs(residual)) < 1e-10
     # far from the spectrum the resolvent approaches 1/z
     z_far = 1e6
-    x_far = resolvent_apply(free, z_far, src, rho0=rho0)
+    x_far = resolvent_apply(free, rho0, z_far, src)
     assert np.max(np.abs(x_far - src / z_far)) < 1e-4 * np.max(np.abs(src)) / z_far
 
 
@@ -59,26 +68,55 @@ def test_resolvent_deflation_covers_imaginary_axis(free_and_rho0):
     rng = np.random.default_rng(6)
     src = random_traceless(rng)
     for nu in (-5.0, -1.0, 0.0, 1.0, 5.0):
-        x = resolvent_apply(free, -1j * nu, src, rho0=rho0)
+        x = resolvent_apply(free, rho0, -1j * nu, src)
         residual = -1j * nu * x - free.apply(x) - src
         assert np.max(np.abs(residual)) < 1e-10
 
 
-def test_resolvent_shift_does_not_leak(free_and_rho0):
+def test_resolvent_solution_is_traceless(free_and_rho0):
     free, rho0 = free_and_rho0
     rng = np.random.default_rng(7)
     src = random_traceless(rng)
-    a = resolvent_apply(free, -0.5j, src, rho0=rho0, shift=1.0)
-    b = resolvent_apply(free, -0.5j, src, rho0=rho0, shift=2.5)
-    assert np.allclose(a, b, atol=1e-10)
+    x = resolvent_apply(free, rho0, -0.5j, src)
+    assert abs(np.trace(x)) < 1e-10 * np.max(np.abs(x))
+
+
+def test_resolvent_pole_for_traced_source(free_and_rho0):
+    free, rho0 = free_and_rho0
+    src = np.eye(16, dtype=complex)  # trace 16: outside the deflated subspace
+    with pytest.raises(ValueError, match="traceless"):
+        resolvent_apply(free, rho0, 0.0, src)
+
+
+@pytest.fixture(scope="module", params=[0.1, 0.25, 0.5, 2.0**-0.5, 1.0, 10.0, 100.0])
+def free_at_omega(request):
+    free = free_generator(PhysParams(omega=request.param))
+    return free, zeroth_steady_state(free)
+
+
+@pytest.mark.parametrize("nu", [-5.0, -1.0, -0.5, 0.5, 1.0, 5.0])
+def test_resolvent_matches_undeflated_solve(free_at_omega, nu):
+    # Omega = gamma/2 and Omega = gamma are exceptional points of the free
+    # generator, where its eigenvectors coalesce; off nu = 0 the undeflated
+    # L - z is regular and serves as the reference
+    free, rho0 = free_at_omega
+    rng = np.random.default_rng(8)
+    block = np.stack([random_traceless(rng).reshape(-1) for _ in range(3)], axis=1)
+    z = -1j * nu
+    x = DeflatedResolvent(free, rho0).solve(z, block)
+    for col in x.T:
+        assert abs(TRACE_VECTOR @ col) < 1e-12 * np.linalg.norm(col)
+    want = la.solve(free.matrix - z * np.eye(LIOUVILLE_DIM), block)
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-def test_resolvent_pole_for_traced_source(free_and_rho0):
-    free, rho0 = free_and_rho0
-    src = np.eye(16, dtype=complex)  # trace 16: no deflation possible
+def test_resolvent_pole_for_singular_deflation():
+    null = Generator(np.zeros((LIOUVILLE_DIM, LIOUVILLE_DIM), dtype=complex))
+    rho0 = np.eye(16, dtype=complex) / 16.0
+    src = random_traceless(np.random.default_rng(9))
     with pytest.raises(ResolventPoleError):
-        resolvent_apply(free, 0.0, src, rho0=rho0)
+        DeflatedResolvent(null, rho0).solve(0.0, src.reshape(-1))
 
 
 @pytest.fixture(scope="module")
