@@ -1,10 +1,11 @@
 """One BLAS thread for the 256-dimensional kernels.
 
 The numpy and scipy wheels each bundle their own OpenBLAS, and each
-defaults to one thread per CPU.  The spectrum sweep alternates many small
-256 x 256 calls between the two libraries (scipy's triangular solves,
-numpy's matrix products), so the two thread pools contend for the same
-cores and the sweep runs about ten times slower than on one thread.
+defaults to one thread per CPU.  The steady-state and expansion kernels
+alternate 256 x 256 calls between the two libraries (scipy's dense
+solves, numpy's SVD and matrix products), so the two thread pools contend
+for the same cores and these kernels run many times slower than on one
+thread.
 
 single_blas_thread() sets every bundled OpenBLAS that exposes the
 scipy_openblas thread API to one thread and restores each library's own

@@ -90,12 +90,12 @@ def dipole_components(atom: int) -> np.ndarray:
 
 def spre(op: np.ndarray) -> np.ndarray:
     """Superoperator for left multiplication, rho -> op rho."""
-    return np.kron(op, np.eye(HILBERT_DIM, dtype=complex))
+    return np.kron(op, np.eye(op.shape[0], dtype=complex))
 
 
 def spost(op: np.ndarray) -> np.ndarray:
     """Superoperator for right multiplication, rho -> rho op."""
-    return np.kron(np.eye(HILBERT_DIM, dtype=complex), op.T)
+    return np.kron(np.eye(op.shape[0], dtype=complex), op.T)
 
 
 def sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -122,28 +122,41 @@ class Generator:
         )
 
 
+def _atom_generator(gamma: float, delta: float, drive: complex) -> np.ndarray:
+    """16 x 16 generator of one driven atom on its own 4 x 4 states."""
+    ham = np.zeros((4, 4), dtype=complex)
+    for level in EXCITED_LEVELS:
+        ham += delta * _unit_matrix(level, level)
+    raise_op = _unit_matrix(4, GROUND)
+    ham -= 0.5 * (drive * raise_op + np.conj(drive) * raise_op.conj().T)
+    mat = 1j * (spre(ham) - spost(ham))
+    for level in EXCITED_LEVELS:
+        lower = _unit_matrix(GROUND, level)
+        proj = _unit_matrix(level, level)
+        mat += 2.0 * gamma * sandwich(lower, lower.conj().T)
+        mat -= gamma * (spre(proj) + spost(proj))
+    return mat
+
+
+#: Row-major two-atom index (i1 i2, j1 j2) -> Kronecker-sum index (i1 j1, i2 j2).
+_PAIR_FROM_ATOMS = np.arange(LIOUVILLE_DIM).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(-1)
+
+
 def free_generator(params: PhysParams, phi_L: float = 0.0) -> Generator:
     """Generator of the two uncoupled driven atoms.
 
     Atom 1 is driven with Rabi frequency omega, atom 2 with the extra
     accumulated laser phase phi_L.  Each excited level decays to the
-    ground state at rate 2*gamma.
+    ground state at rate 2*gamma.  The atoms do not interact, so the
+    generator is the Kronecker sum of the two single-atom generators,
+    brought to the row-major two-atom index order.
     """
     gamma, delta, omega = params.gamma, params.delta, params.omega
-    mat = np.zeros((LIOUVILLE_DIM, LIOUVILLE_DIM), dtype=complex)
-    for atom, drive in ((1, omega + 0j), (2, omega * np.exp(1j * phi_L))):
-        ham = np.zeros((HILBERT_DIM, HILBERT_DIM), dtype=complex)
-        for level in EXCITED_LEVELS:
-            ham += delta * transition_operator(atom, level, "projector")
-        raise_op = transition_operator(atom, 4, "raising")
-        ham -= 0.5 * (drive * raise_op + np.conj(drive) * raise_op.conj().T)
-        mat += 1j * (spre(ham) - spost(ham))
-        for level in EXCITED_LEVELS:
-            lower = transition_operator(atom, level, "lowering")
-            proj = transition_operator(atom, level, "projector")
-            mat += 2.0 * gamma * sandwich(lower, lower.conj().T)
-            mat -= gamma * (spre(proj) + spost(proj))
-    return Generator(mat)
+    eye = np.eye(HILBERT_DIM, dtype=complex)
+    atom_1 = _atom_generator(gamma, delta, omega + 0j)
+    atom_2 = _atom_generator(gamma, delta, omega * np.exp(1j * phi_L))
+    mat = np.kron(atom_1, eye) + np.kron(eye, atom_2)
+    return Generator(mat[np.ix_(_PAIR_FROM_ATOMS, _PAIR_FROM_ATOMS)])
 
 
 def exchange_generators_from_tensor(tensor: np.ndarray) -> tuple[Generator, Generator]:

@@ -1,5 +1,7 @@
 """Tests for the perturbative steady-state expansion in the exchange coupling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,27 @@ def test_numeric_enhancement_rejects_degenerate_orientation():
         numeric_enhancement(
             PhysParams.from_saturation(1.0), Configuration(n_hat=(0.0, 0.0, 1.0))
         )
+
+
+def test_numeric_enhancement_at_small_geometry_weight():
+    # geometry weight 1e-6: the ladder total is of that size while the
+    # rounding noise of its imaginary part is of the size of rho_11
+    params = PhysParams.from_saturation(0.17597987337494272)
+    cfg = Configuration(
+        n_hat=(-0.023844143723764047, -0.03783459805628287, 0.9989994994993742),
+        phi_L=0.5708444346073492,
+    )
+    assert cfg.geometry_weight == pytest.approx(1e-6, rel=1e-6)
+    got = numeric_enhancement(params, cfg)
+    assert abs(got - oracle.enhancement_factor(params.saturation)) <= 1e-8
+
+
+def test_intensity_terms_reject_non_hermitian_order(expansion_s1):
+    rho_11 = expansion_s1[(1, 1)]
+    skewed = rho_11 + 1e-6 * np.linalg.norm(rho_11) * 1j * np.eye(HILBERT_DIM)
+    pert = dataclasses.replace(expansion_s1, orders={**expansion_s1.orders, (1, 1): skewed})
+    with pytest.raises(RuntimeError, match="not Hermitian"):
+        intensity_terms(pert, Configuration())
 
 
 def test_intensities_invariant_under_decay_rate_rescale():

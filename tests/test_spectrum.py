@@ -21,6 +21,7 @@ from cbs2.generators import (
 from cbs2.geometry import Configuration, PhysParams
 from cbs2.perturbation import DeflatedResolvent, build_expansion, zeroth_steady_state
 from cbs2.spectrum import (
+    SWEEP_CHUNK,
     GridCoverageError,
     ResolventPoleError,
     SpectrumEngine,
@@ -94,29 +95,46 @@ def free_at_omega(request):
     return free, zeroth_steady_state(free)
 
 
-@pytest.mark.parametrize("nu", [-5.0, -1.0, -0.5, 0.5, 1.0, 5.0])
+PROBE_NU = (-5.0, -1.0, -0.5, 0.5, 1.0, 5.0)
+
+
+@pytest.mark.parametrize("nu", [*PROBE_NU, pytest.param(PROBE_NU, id="all-shifts")])
 def test_resolvent_matches_undeflated_solve(free_at_omega, nu):
     # Omega = gamma/2 and Omega = gamma are exceptional points of the free
     # generator, where its eigenvectors coalesce; off nu = 0 the undeflated
-    # L - z is regular and serves as the reference
+    # L - z is regular and serves as the reference.  A tuple of nu is
+    # solved as one array of shifts.
     free, rho0 = free_at_omega
     rng = np.random.default_rng(8)
     block = np.stack([random_traceless(rng).reshape(-1) for _ in range(3)], axis=1)
-    z = -1j * nu
+    z = -1j * np.asarray(nu)
     x = DeflatedResolvent(free, rho0).solve(z, block)
-    for col in x.T:
-        assert abs(TRACE_VECTOR @ col) < 1e-12 * np.linalg.norm(col)
-    want = la.solve(free.matrix - z * np.eye(LIOUVILLE_DIM), block)
-    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+    assert x.shape == z.shape + block.shape
+    for z_f, x_f in zip(np.atleast_1d(z), x.reshape(-1, *block.shape)):
+        for col in x_f.T:
+            assert abs(TRACE_VECTOR @ col) < 1e-12 * np.linalg.norm(col)
+        want = la.solve(free.matrix - z_f * np.eye(LIOUVILLE_DIM), block)
+        assert np.linalg.norm(x_f - want) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.filterwarnings("error")
 def test_resolvent_pole_for_singular_deflation():
+    # the all-zero generator leaves 240 one-dimensional zero sectors: a
+    # typed error, and no warning on the way
     null = Generator(np.zeros((LIOUVILLE_DIM, LIOUVILLE_DIM), dtype=complex))
     rho0 = np.eye(16, dtype=complex) / 16.0
     src = random_traceless(np.random.default_rng(9))
     with pytest.raises(ResolventPoleError):
         DeflatedResolvent(null, rho0).solve(0.0, src.reshape(-1))
+
+
+def test_resolvent_pole_names_the_failing_shift():
+    # only the shift at 0 is a pole of the all-zero generator
+    null = Generator(np.zeros((LIOUVILLE_DIM, LIOUVILLE_DIM), dtype=complex))
+    rho0 = np.eye(16, dtype=complex) / 16.0
+    src = random_traceless(np.random.default_rng(10)).reshape(-1)
+    with pytest.raises(ResolventPoleError, match=r"z = 0j"):
+        DeflatedResolvent(null, rho0).solve(np.array([1.0j, 0.0, -2.0j]), src)
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +216,16 @@ def test_closure_on_plain_grid(engine_s1):
     want_ladder, want_crossed = oracle.total_terms(1.0)
     assert ladder == pytest.approx(want_ladder, rel=1e-5)
     assert crossed == pytest.approx(want_crossed, rel=1e-5)
+
+
+def test_densities_do_not_depend_on_chunking(engine_s1):
+    # a grid that is not a multiple of the sweep chunk, evaluated at once
+    # and one frequency per call, must agree bit for bit
+    nu = np.linspace(-7.0, 7.0, 2 * SWEEP_CHUNK + 3)
+    ladder, crossed = engine_s1.densities(nu)
+    single = [engine_s1.densities(nu[i:i + 1]) for i in range(nu.size)]
+    assert np.array_equal(ladder, np.concatenate([pair[0] for pair in single]))
+    assert np.array_equal(crossed, np.concatenate([pair[1] for pair in single]))
 
 
 def test_enhancement_from_spectrum(engine_s1):
