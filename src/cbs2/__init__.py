@@ -13,9 +13,7 @@ from .analysis import (
     PeakReport,
     UndefinedEnhancementError,
     analyze_peak,
-    classify_lineshape,
     filtered_enhancement,
-    peak_weight,
     window_stats,
 )
 from .average import AverageSpec, ISOTROPIC_FACTOR, angular_factor, mc_average
@@ -79,7 +77,6 @@ __all__ = [
     "angular_factor",
     "build_expansion",
     "cbs_spectrum",
-    "classify_lineshape",
     "default_frequency_grid",
     "elastic_terms",
     "enhancement_factor",
@@ -95,7 +92,6 @@ __all__ = [
     "numeric_enhancement",
     "oracle_spectrum_result",
     "partial_trace",
-    "peak_weight",
     "strong_field_spectra",
     "total_terms",
     "weak_field_spectra",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .analysis import filtered_enhancement, peak_weight, window_stats
+from .analysis import filtered_enhancement, window_stats
 from .average import AverageSpec, ISOTROPIC_FACTOR, mc_average
 from .geometry import Configuration, PhysParams
 from .perturbation import (
@@ -287,7 +287,7 @@ class AcceptanceSuite:
             values = {}
             worst = 0.0
             for center in centers:
-                got = peak_weight(spec, which, center, window) / eps2
+                got = window_stats(spec, which, center, window)[0] / eps2
                 values[f"nu={center:g}"] = got
                 worst = max(worst, abs(got / expect - 1.0))
             rows.append(

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import InterpolatedUnivariateSpline
 
 from .spectrum import SpectrumResult
 
@@ -71,6 +70,10 @@ def _validate_window(spec: SpectrumResult, center: float, window: float) -> None
 
 
 def window_stats(spec: SpectrumResult, which: str, center: float, window: float):
+    # imported on first use: scipy.interpolate is most of the import time
+    # of the package, and most callers never need it
+    from scipy.interpolate import InterpolatedUnivariateSpline
+
     _validate_window(spec, center, window)
     density = {"ladder": spec.ladder_inel, "crossed": spec.crossed_inel}[which]
     spline = InterpolatedUnivariateSpline(spec.nu, density, k=3)
@@ -85,14 +88,6 @@ def window_stats(spec: SpectrumResult, which: str, center: float, window: float)
     odd_norm2 = float(2.0 * w @ odd**2)
     total = max(even_norm2 + odd_norm2, 1e-300)
     return weight, abs_integral, np.sqrt(even_norm2 / total), np.sqrt(odd_norm2 / total)
-
-
-def peak_weight(
-    spec: SpectrumResult, which: str, center: float, window: float
-) -> float:
-    """Integrated density of one component over [center - w, center + w]."""
-    weight, _, _, _ = window_stats(spec, which, center, window)
-    return weight
 
 
 def analyze_peak(
@@ -126,14 +121,6 @@ def analyze_peak(
         odd_fraction=odd_frac,
         shape=shape,
     )
-
-
-def classify_lineshape(
-    spec: SpectrumResult, which: str, center: float, window: float
-) -> str:
-    """Shape class of one feature: lorentzian_positive,
-    lorentzian_negative or dispersive."""
-    return analyze_peak(spec, which, center, window).shape
 
 
 def filtered_enhancement(

@@ -18,9 +18,11 @@ solvers, not by deflating the generator itself.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .geometry import PhysParams, helicity_unit_vector, transverse_projector
 
@@ -159,36 +161,46 @@ def free_generator(params: PhysParams, phi_L: float = 0.0) -> Generator:
     return Generator(mat[np.ix_(_PAIR_FROM_ATOMS, _PAIR_FROM_ATOMS)])
 
 
+@functools.cache
+def _exchange_basis() -> tuple[sparse.csr_array, sparse.csr_array]:
+    """V_plus and V_minus of the nine unit tensors e_i e_j^T, flattened
+    into row 3 i + j of one sparse 9 x 65536 matrix each."""
+    dips = {1: dipole_components(1), 2: dipole_components(2)}
+    eye = sparse.eye_array(HILBERT_DIM, dtype=complex)
+    rows_plus, rows_minus = [], []
+    for i in range(3):
+        for j in range(3):
+            v_plus = v_minus = 0
+            for alpha, beta in ((1, 2), (2, 1)):
+                d_a, d_b = dips[alpha], dips[beta]
+                dag_ai = d_a[i].conj().T
+                # sandwich(left, right) = kron(left, right.T)
+                v_plus = v_plus + (
+                    sparse.kron(d_b[j], dag_ai.T) - sparse.kron(eye, (dag_ai @ d_b[j]).T)
+                )
+                v_minus = v_minus + (
+                    sparse.kron(d_a[j], d_b[i].conj())
+                    - sparse.kron(d_b[i].conj().T @ d_a[j], eye)
+                )
+            rows_plus.append(sparse.coo_array(v_plus).reshape((1, -1)))
+            rows_minus.append(sparse.coo_array(v_minus).reshape((1, -1)))
+    return sparse.vstack(rows_plus, format="csr"), sparse.vstack(rows_minus, format="csr")
+
+
 def exchange_generators_from_tensor(tensor: np.ndarray) -> tuple[Generator, Generator]:
     """Photon-exchange generators for an arbitrary symmetric rank-2 tensor.
 
     Returns the pair (V_plus, V_minus) multiplying the exchange coupling
     g and its conjugate in the full generator L = L_free + g V_plus +
     conj(g) V_minus.  Both annihilate the trace; only their g, g* weighted
-    sum preserves Hermiticity.
+    sum preserves Hermiticity.  Both are linear in the tensor.
     """
     t = np.asarray(tensor, dtype=complex)
     if t.shape != (3, 3):
         raise ValueError("tensor must be 3 x 3")
-    dips = {1: dipole_components(1), 2: dipole_components(2)}
-    eye = np.eye(HILBERT_DIM, dtype=complex)
-    v_plus = np.zeros((LIOUVILLE_DIM, LIOUVILLE_DIM), dtype=complex)
-    v_minus = np.zeros((LIOUVILLE_DIM, LIOUVILLE_DIM), dtype=complex)
-    for alpha, beta in ((1, 2), (2, 1)):
-        d_a, d_b = dips[alpha], dips[beta]
-        for i in range(3):
-            dag_ai = d_a[i].conj().T
-            for j in range(3):
-                if t[i, j] == 0:
-                    continue
-                v_plus += t[i, j] * (
-                    sandwich(d_b[j], dag_ai) - sandwich(eye, dag_ai @ d_b[j])
-                )
-                v_minus += t[i, j] * (
-                    sandwich(d_a[j], d_b[i].conj().T)
-                    - sandwich(d_b[i].conj().T @ d_a[j], eye)
-                )
-    return Generator(v_plus), Generator(v_minus)
+    v_plus, v_minus = (t.reshape(-1) @ basis for basis in _exchange_basis())
+    shape = (LIOUVILLE_DIM, LIOUVILLE_DIM)
+    return Generator(v_plus.reshape(shape)), Generator(v_minus.reshape(shape))
 
 
 def exchange_generators(n_hat: np.ndarray, gamma: float = 1.0) -> tuple[Generator, Generator]:

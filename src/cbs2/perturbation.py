@@ -20,7 +20,6 @@ import scipy.linalg as la
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from ._blas import single_blas_thread
 from .generators import (
     Generator,
     HILBERT_DIM,
@@ -41,11 +40,31 @@ class DegeneracyError(RuntimeError):
     """The free generator has more than one stationary direction."""
 
 
-def _trace_row_solve(matrix: np.ndarray) -> np.ndarray:
-    """Solve matrix @ rho = 0 subject to tr rho = 1 by replacing the first
-    row of the system with the trace constraint; returns the flat rho."""
+def _sectors(matrix: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the sectors of a generator that never couple.
+
+    A sector is a connected component of the nonzero pattern of the
+    matrix, with the trace row joined to index 0, so that all populations
+    share the sector of index 0; the stationary state, the trace-row solve
+    and the deflation |rho0><trace| all lie inside it.  Returns one
+    (count, dim) array of sorted indices per sector size.
+    """
+    pattern = matrix != 0
+    pattern[0] |= TRACE_VECTOR != 0
+    # directed=False joins i and j when entry (i, j) or (j, i) is nonzero
+    _, labels = connected_components(pattern, directed=False)
+    sizes = np.bincount(labels)
+    return [
+        np.stack([np.flatnonzero(labels == c) for c in np.flatnonzero(sizes == size)])
+        for size in np.unique(sizes)
+    ]
+
+
+def _trace_row_solve(matrix: np.ndarray, trace: np.ndarray = TRACE_VECTOR) -> np.ndarray:
+    """Solve matrix @ rho = 0 subject to trace @ rho = 1 by replacing the
+    first row of the system with the trace constraint; returns the flat rho."""
     a = matrix.copy()
-    a[0, :] = TRACE_VECTOR
+    a[0, :] = trace
     b = np.zeros(a.shape[0], dtype=complex)
     b[0] = 1.0
     return la.solve(a, b)
@@ -55,10 +74,17 @@ def zeroth_steady_state(gen: Generator) -> np.ndarray:
     """Unique trace-one stationary state of the free generator.
 
     Solves L rho = 0 with the first row of the system replaced by the
-    trace constraint, then verifies residual, Hermiticity, positivity and
-    uniqueness of the stationary direction.
+    trace constraint, on the sector of index 0 only, then verifies
+    residual, Hermiticity, positivity and uniqueness of the stationary
+    direction.
     """
-    sv = np.linalg.svd(gen.matrix, compute_uv=False)
+    sectors = _sectors(gen.matrix)
+    # L is block diagonal in its sectors, so its singular values are those
+    # of its blocks
+    blocks = [gen.matrix[index[:, :, None], index[:, None, :]] for index in sectors]
+    sv = np.sort(
+        np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for b in blocks])
+    )[::-1]
     scale = max(sv[0], 1.0)
     if sv[-2] < 1e-8 * scale:
         raise DegeneracyError(
@@ -66,10 +92,15 @@ def zeroth_steady_state(gen: Generator) -> np.ndarray:
             f"{sv[-2]:.3e} vs scale {scale:.3e})"
         )
 
-    rho = _trace_row_solve(gen.matrix).reshape(HILBERT_DIM, HILBERT_DIM)
+    populations = next(index for group in sectors for index in group if index[0] == 0)
+    rho = np.zeros(LIOUVILLE_DIM, dtype=complex)
+    rho[populations] = _trace_row_solve(
+        gen.matrix[np.ix_(populations, populations)], TRACE_VECTOR[populations]
+    )
+    rho = rho.reshape(HILBERT_DIM, HILBERT_DIM)
     rho = 0.5 * (rho + rho.conj().T)
 
-    residual = np.linalg.norm(gen.matrix @ rho.reshape(-1))
+    residual = np.linalg.norm(sparse.csr_array(gen.matrix) @ rho.reshape(-1))
     if residual > 1e-10:
         raise RuntimeError(f"steady-state residual {residual:.3e} exceeds 1e-10")
     eigs = np.linalg.eigvalsh(rho)
@@ -92,13 +123,12 @@ class DeflatedResolvent:
     axis, z = 0 included, whenever the stationary direction is unique and
     all other modes decay, and its inverse keeps B traceless.
 
-    The deflated matrix splits into sectors that never couple: the
-    connected components of its nonzero pattern (for the driven pair, one
-    36-dimensional population block and 48 smaller coherence blocks; the
-    deflation lies inside the population block).  Components of equal size
-    are stacked, so one solve is one batched LU with partial pivoting per
-    size.  No eigenvectors are formed, so exceptional points of L need no
-    special treatment.
+    The deflated matrix splits into the sectors of L (for the driven pair,
+    one 36-dimensional population block, which holds the deflation, and 48
+    smaller coherence blocks).  Sectors of equal size are stacked, so one
+    solve is one batched LU with partial pivoting per size.  No
+    eigenvectors are formed, so exceptional points of L need no special
+    treatment.
     """
 
     def __init__(self, gen: Generator, rho0: np.ndarray):
@@ -106,18 +136,11 @@ class DeflatedResolvent:
         deflated = gen.matrix + np.outer(
             np.asarray(rho0, dtype=complex).reshape(-1), TRACE_VECTOR
         )
-        # directed=False joins i and j when entry (i, j) or (j, i) is
-        # nonzero: the components of pattern | pattern.T
-        _, labels = connected_components(deflated != 0, directed=False)
-        # components of one size form one (count, dim) slab of the sector
+        # sectors of one size form one (count, dim) slab of the sector
         # order and one (count, dim, dim) stack of diagonal blocks
-        sizes = np.bincount(labels)
         order, self._groups = [], []
         start = 0
-        for size in np.unique(sizes):
-            index = np.stack(
-                [np.flatnonzero(labels == c) for c in np.flatnonzero(sizes == size)]
-            )
+        for index in _sectors(gen.matrix):
             rows = slice(start, start + index.size)
             self._groups.append((rows, deflated[index[:, :, None], index[:, None, :]]))
             order.append(index.reshape(-1))
@@ -152,14 +175,20 @@ class DeflatedResolvent:
             gathered[:, rows, :] = _batched_solve(shifted, slab).reshape(
                 zs.size, count * dim, -1
             )
+        # the sweep solves once per stage and chunk, so full-size (F, 256, k)
+        # temporaries are freed or reused early: above about 2 MiB per chunk
+        # (glibc's heap trim threshold once 1 MiB arrays have been freed),
+        # every chunk returned its memory and faulted it back in, about
+        # 38,000 page faults per 600-point sweep
         x = gathered[:, self._unorder, :]
+        del gathered
 
         # the residual test also rejects non-finite input and output
-        columns = x.transpose(1, 0, 2).reshape(LIOUVILLE_DIM, -1)
-        applied = (self._matrix @ columns).reshape(LIOUVILLE_DIM, zs.size, -1)
-        residual = np.linalg.norm(
-            applied.transpose(1, 0, 2) - zs[:, None, None] * x - stack, axis=(1, 2)
-        )
+        residual = self._matrix @ x.transpose(1, 0, 2).reshape(LIOUVILLE_DIM, -1)
+        residual = residual.reshape(LIOUVILLE_DIM, zs.size, -1).transpose(1, 0, 2)
+        residual -= zs[:, None, None] * x
+        residual -= stack
+        residual = np.linalg.norm(residual, axis=(1, 2))
         bound = 1e-10 * np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1e-300)
         failed = np.flatnonzero(~(residual <= bound))
         if failed.size:
@@ -191,14 +220,15 @@ class PerturbativeState:
     orders maps (m, n) to the coefficient of g^m conj(g)^n.  Order (0, 0)
     is the product state of the uncoupled atoms; orders in
     AVERAGING_DROPS are kept for completeness but carry distance phases
-    that average to zero.  The generators the orders were computed from
-    are kept for the spectral sweep.
+    that average to zero.  The deflated resolvent of the free generator and
+    the exchange generators as CSR matrices, with which the orders were
+    computed, are kept for the spectral sweep.
     """
 
     orders: dict
-    free: Generator = field(repr=False)
-    v_plus: Generator = field(repr=False)
-    v_minus: Generator = field(repr=False)
+    resolvent: DeflatedResolvent = field(repr=False)
+    v_plus: sparse.csr_array = field(repr=False)
+    v_minus: sparse.csr_array = field(repr=False)
 
     def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
         return self.orders[key]
@@ -212,10 +242,10 @@ def perturbative_corrections(
 ) -> PerturbativeState:
     """Expand the stationary state to combined second order in g, conj(g)."""
     resolvent = DeflatedResolvent(free, rho0)
-    vp, vm = v_plus.matrix, v_minus.matrix
+    vp, vm = sparse.csr_array(v_plus.matrix), sparse.csr_array(v_minus.matrix)
 
-    def push(v_matrix: np.ndarray, state: np.ndarray) -> np.ndarray:
-        return -(v_matrix @ state.reshape(-1))
+    def push(v: sparse.csr_array, state: np.ndarray) -> np.ndarray:
+        return -(v @ state.reshape(-1))
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         return resolvent.solve(0.0, rhs).reshape(HILBERT_DIM, HILBERT_DIM)
@@ -240,10 +270,9 @@ def perturbative_corrections(
         trace = abs(np.trace(state))
         if trace > 1e-12 * max(np.linalg.norm(state), 1e-300):
             raise RuntimeError(f"order {key} correction has trace {trace:.3e}")
-    return PerturbativeState(orders, free, v_plus, v_minus)
+    return PerturbativeState(orders, resolvent, vp, vm)
 
 
-@single_blas_thread()
 def build_expansion(params: PhysParams, cfg: Configuration) -> PerturbativeState:
     """Convenience pipeline: generators, zeroth order, corrections."""
     free = free_generator(params, cfg.phi_L)
@@ -367,7 +396,6 @@ def numeric_enhancement(params: PhysParams, cfg: Configuration) -> float:
     return 1.0 + terms.crossed_total / terms.ladder_total
 
 
-@single_blas_thread()
 def nonperturbative_intensity(
     params: PhysParams,
     cfg: Configuration,

@@ -19,13 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.interpolate import InterpolatedUnivariateSpline
 
-from ._blas import single_blas_thread
 from .generators import transition_operator
 from .geometry import Configuration, PhysParams
 from .perturbation import (
-    DeflatedResolvent,
     PerturbativeState,
     ResolventPoleError,
     build_expansion,
@@ -53,14 +50,13 @@ class GridCoverageError(ValueError):
 class RegressionSources:
     """Initial conditions for the regression correlators of one atom.
 
-    raw[(m, n)] is the stationary state correction of that order
-    multiplied from the right by the raising dipole; connected[(m, n)]
-    has the mean-dipole (elastic) part subtracted order by order and is
-    traceless, hence orthogonal to the stationary mode.
+    connected[(m, n)] is the stationary state correction of that order
+    multiplied from the right by the raising dipole, with the mean-dipole
+    (elastic) part subtracted order by order; it is traceless, hence
+    orthogonal to the stationary mode.
     """
 
     atom: int
-    raw: dict
     connected: dict
     dipoles: dict
 
@@ -69,11 +65,9 @@ def regression_sources(pert: PerturbativeState, atom: int) -> RegressionSources:
     """Order-resolved regression sources for the detected transition."""
     raising = transition_operator(atom, 2, "raising")
     dipoles = mean_dipole_orders(pert, atom)
-    raw = {}
     connected = {}
     for m, n in SOURCE_ORDERS:
-        raw[(m, n)] = pert[(m, n)] @ raising
-        conn = raw[(m, n)].copy()
+        conn = pert[(m, n)] @ raising
         for p in range(m + 1):
             for q in range(n + 1):
                 conn -= dipoles[(p, q)] * pert[(m - p, n - q)]
@@ -83,7 +77,7 @@ def regression_sources(pert: PerturbativeState, atom: int) -> RegressionSources:
             raise RuntimeError(
                 f"connected source ({m},{n}) has trace {trace:.3e}"
             )
-    return RegressionSources(atom=atom, raw=raw, connected=connected, dipoles=dipoles)
+    return RegressionSources(atom=atom, connected=connected, dipoles=dipoles)
 
 
 @dataclass(frozen=True)
@@ -181,20 +175,16 @@ def default_frequency_grid(
 
 
 class SpectrumEngine:
-    """Caches the expansion orders, with their generators, and the deflated
-    resolvent for repeated spectral-density evaluations at one parameter
-    point."""
+    """Caches the expansion orders, with their deflated resolvent and
+    exchange generators, for repeated spectral-density evaluations at one
+    parameter point."""
 
-    @single_blas_thread()
     def __init__(self, params: PhysParams, cfg: Configuration):
         checked_geometry_weight(cfg.geometry_weight)
         self.params = params
         self.cfg = cfg
         self.pert = build_expansion(params, cfg)
         self.sources = {1: regression_sources(self.pert, 1), 2: regression_sources(self.pert, 2)}
-        self._resolvent = DeflatedResolvent(self.pert.free, self.pert[(0, 0)])
-        self._v_plus = sparse.csr_array(self.pert.v_plus.matrix)
-        self._v_minus = sparse.csr_array(self.pert.v_minus.matrix)
         # row b-1 reads the lowering dipole of detection atom b
         self._functionals = sparse.csr_array(
             np.stack([transition_operator(b, 2, "lowering").T.reshape(-1) for b in (1, 2)])
@@ -216,21 +206,21 @@ class SpectrumEngine:
 
         def resolve(rhs: np.ndarray) -> np.ndarray:
             # (z - L)^-1 = -(L - z)^-1
-            return -self._resolvent.solve(z, rhs)
+            return -self.pert.resolvent.solve(z, rhs)
 
         y = resolve(self._stage1)
         # columns per atom a: y11, y01, y10, y00; stage 2 takes, per atom,
         # V+ y01, V- y10, V+ y00, V- y00
         stage2 = np.stack(
-            [_apply(self._v_plus, y[:, :, [1, 3, 5, 7]]),
-             _apply(self._v_minus, y[:, :, [2, 3, 6, 7]])],
+            [_apply(self.pert.v_plus, y[:, :, [1, 3, 5, 7]]),
+             _apply(self.pert.v_minus, y[:, :, [2, 3, 6, 7]])],
             axis=-1,
         ).reshape(y.shape)
         u = resolve(stage2)
         # stage 3 takes, per atom, V- u(V+ y00), V+ u(V- y00)
         stage3 = np.stack(
-            [_apply(self._v_minus, u[:, :, [2, 6]]),
-             _apply(self._v_plus, u[:, :, [3, 7]])],
+            [_apply(self.pert.v_minus, u[:, :, [2, 6]]),
+             _apply(self.pert.v_plus, u[:, :, [3, 7]])],
             axis=-1,
         ).reshape(u.shape[:2] + (4,))
         v = resolve(stage3)
@@ -242,7 +232,6 @@ class SpectrumEngine:
         # total[f, :, a] -> out[f, a, b]
         return _apply(self._functionals, total).transpose(0, 2, 1)
 
-    @single_blas_thread()
     def densities(self, nu_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Normalized inelastic (ladder, crossed) densities on nu_grid."""
         nu = np.asarray(nu_grid, dtype=float)
@@ -320,6 +309,10 @@ def cbs_spectrum(
 def _tail_correction(nu: np.ndarray, density: np.ndarray) -> float:
     """Estimate the integral beyond the grid ends from the 1/nu^2 tails."""
     n_fit = min(8, len(nu) // 10)
+    if n_fit == 0:
+        raise GridCoverageError(
+            f"the tail fit needs a grid of at least 10 points, got {len(nu)}"
+        )
     right = np.mean(nu[-n_fit:] ** 2 * density[-n_fit:])
     left = np.mean(nu[:n_fit] ** 2 * density[:n_fit])
     return right / nu[-1] + left / abs(nu[0])
@@ -353,6 +346,9 @@ def integrate_spectrum(spec: SpectrumResult) -> tuple[float, float]:
         if spec.quad_weights is not None:
             inel = float(spec.quad_weights @ density)
         else:
+            # imported on first use, like in analysis.window_stats
+            from scipy.interpolate import InterpolatedUnivariateSpline
+
             spline = InterpolatedUnivariateSpline(spec.nu, density, k=3)
             inel = float(spline.integral(spec.nu[0], spec.nu[-1]))
         inel += _tail_correction(spec.nu, density)

@@ -15,9 +15,7 @@ from cbs2.analysis import (
     NULL_WEIGHT_FRACTION,
     UndefinedEnhancementError,
     analyze_peak,
-    classify_lineshape,
     filtered_enhancement,
-    peak_weight,
     window_stats,
 )
 from cbs2.spectrum import SpectrumResult, oracle_spectrum_result
@@ -91,7 +89,7 @@ def oracle_strong():
     ],
 )
 def test_window_weight_matches_antiderivatives(oracle_strong, which, center):
-    got = peak_weight(oracle_strong, which, center, 25.0)
+    got = window_stats(oracle_strong, which, center, 25.0)[0]
     want = semi_analytic_window(which, center, 25.0)
     assert got == pytest.approx(want, rel=1e-6)
 
@@ -116,7 +114,7 @@ def test_parity_split_is_normalized(oracle_strong):
 
 def test_ladder_tile_sum_rule(oracle_strong):
     tiles = np.arange(-200.0, 201.0, 50.0)
-    total = sum(peak_weight(oracle_strong, "ladder", c, 25.0) for c in tiles)
+    total = sum(window_stats(oracle_strong, "ladder", c, 25.0)[0] for c in tiles)
     assert total == pytest.approx((14.0 / 3.0) * EPS2, rel=0.01)
 
 
@@ -125,7 +123,7 @@ def test_crossed_tile_sum_rule(oracle_strong):
     # symmetric range decays only logarithmically, so the tile sum closes
     # noticeably slower than the ladder one
     tiles = np.arange(-200.0, 201.0, 50.0)
-    total = sum(peak_weight(oracle_strong, "crossed", c, 25.0) for c in tiles)
+    total = sum(window_stats(oracle_strong, "crossed", c, 25.0)[0] for c in tiles)
     assert total == pytest.approx((4.0 / 9.0) * EPS2, rel=0.04)
     dispersive_residue = (1.0 / OMEGA) * (208.0 / 45.0) * 2.0 * np.log(275.0 / 175.0) / np.pi
     assert total - (4.0 / 9.0) * EPS2 == pytest.approx(
@@ -146,7 +144,7 @@ NUMERIC_GREEN_WEIGHTS = [
 
 @pytest.mark.parametrize("which,center,table", NUMERIC_GREEN_WEIGHTS)
 def test_numeric_peak_weights(strong_spectrum, which, center, table):
-    got = peak_weight(strong_spectrum, which, center, 25.0)
+    got = window_stats(strong_spectrum, which, center, 25.0)[0]
     assert got / EPS2 == pytest.approx(table, rel=0.03)
 
 
@@ -156,7 +154,7 @@ def test_numeric_peak_weights(strong_spectrum, which, center, table):
     "Lorentzian tails inside any admissible window (see the README, Validation battery)",
 )
 def test_numeric_outermost_ladder_weight(strong_spectrum):
-    got = peak_weight(strong_spectrum, "ladder", 2 * OMEGA, 25.0)
+    got = window_stats(strong_spectrum, "ladder", 2 * OMEGA, 25.0)[0]
     assert got / EPS2 == pytest.approx(1.0 / 72.0, rel=0.03)
 
 
@@ -166,7 +164,7 @@ def test_numeric_outermost_ladder_weight(strong_spectrum):
     "2 omega window weight by about -7% (see the README, Validation battery)",
 )
 def test_numeric_outermost_crossed_weight(strong_spectrum):
-    got = peak_weight(strong_spectrum, "crossed", 2 * OMEGA, 25.0)
+    got = window_stats(strong_spectrum, "crossed", 2 * OMEGA, 25.0)[0]
     assert got / EPS2 == pytest.approx(1.0 / 72.0, rel=0.03)
 
 
@@ -185,7 +183,7 @@ def test_numeric_outermost_crossed_weight(strong_spectrum):
     ],
 )
 def test_numeric_classifications(strong_spectrum, which, center, expected):
-    assert classify_lineshape(strong_spectrum, which, center, 25.0) == expected
+    assert analyze_peak(strong_spectrum, which, center, 25.0).shape == expected
 
 
 @pytest.mark.xfail(
@@ -195,7 +193,7 @@ def test_numeric_classifications(strong_spectrum, which, center, expected):
     "a dispersive verdict (see the README, Validation battery)",
 )
 def test_crossed_half_rabi_classified_dispersive(strong_spectrum):
-    shape = classify_lineshape(strong_spectrum, "crossed", OMEGA / 2, 25.0)
+    shape = analyze_peak(strong_spectrum, "crossed", OMEGA / 2, 25.0).shape
     assert shape == "dispersive"
 
 
@@ -203,7 +201,7 @@ def test_crossed_half_rabi_is_odd_dominated(strong_spectrum):
     # the feature really is dispersive to the parity statistic; only the
     # null-weight condition is missed, and the error reports the split
     try:
-        shape = classify_lineshape(strong_spectrum, "crossed", OMEGA / 2, 25.0)
+        shape = analyze_peak(strong_spectrum, "crossed", OMEGA / 2, 25.0).shape
         assert shape == "dispersive"
     except ClassificationError as err:
         assert err.odd_fraction > DOMINANCE_THRESHOLD
@@ -226,8 +224,8 @@ def test_peak_report_fields(strong_spectrum):
 def test_mirror_symmetry_of_windowed_weights(strong_spectrum):
     for which in ("ladder", "crossed"):
         for center in (OMEGA / 2, OMEGA, 2 * OMEGA):
-            plus = peak_weight(strong_spectrum, which, center, 25.0)
-            minus = peak_weight(strong_spectrum, which, -center, 25.0)
+            plus = window_stats(strong_spectrum, which, center, 25.0)[0]
+            minus = window_stats(strong_spectrum, which, -center, 25.0)[0]
             assert plus == pytest.approx(minus, rel=1e-10)
 
 

@@ -6,6 +6,8 @@ captured from stdout.  Exit codes: 0 success, 1 parameter problems,
 """
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_leaves_out_scipy_interpolate():
+    # every CLI call imports the package; scipy.interpolate is most of that
+    # import time and only the spline quadrature and window_stats need it
+    code = "import sys, cbs2; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_version(capsys):

@@ -250,6 +250,49 @@ def test_exchange_tensor_linearity(gen_rng):
     assert np.allclose(vm2.matrix, 2.0 * vm1.matrix, atol=1e-12)
 
 
+def kron_loop_exchange(tensor):
+    """V_plus, V_minus accumulated term by term from dense Kronecker
+    products, skipping zero tensor entries."""
+    t = np.asarray(tensor, dtype=complex)
+    dips = {1: dipole_components(1), 2: dipole_components(2)}
+    eye = np.eye(HILBERT_DIM, dtype=complex)
+    v_plus = np.zeros((LIOUVILLE_DIM, LIOUVILLE_DIM), dtype=complex)
+    v_minus = np.zeros((LIOUVILLE_DIM, LIOUVILLE_DIM), dtype=complex)
+    for alpha, beta in ((1, 2), (2, 1)):
+        d_a, d_b = dips[alpha], dips[beta]
+        for i in range(3):
+            dag_ai = d_a[i].conj().T
+            for j in range(3):
+                if t[i, j] == 0:
+                    continue
+                v_plus += t[i, j] * (
+                    np.kron(d_b[j], dag_ai.T) - np.kron(eye, (dag_ai @ d_b[j]).T)
+                )
+                v_minus += t[i, j] * (
+                    np.kron(d_a[j], d_b[i].conj()) - np.kron(d_b[i].conj().T @ d_a[j], eye)
+                )
+    return v_plus, v_minus
+
+
+def random_complex_symmetric(seed):
+    rng = np.random.default_rng([31, seed])
+    t = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return t + t.T
+
+
+@pytest.mark.parametrize(
+    "tensor",
+    [pytest.param(random_complex_symmetric(seed), id=f"random-{seed}") for seed in range(20)]
+    # the x-axis orientation has zero tensor entries
+    + [pytest.param(transverse_projector(np.array([1.0, 0.0, 0.0])), id="x-axis")],
+)
+def test_exchange_generators_equal_kron_loop(tensor):
+    v_plus, v_minus = exchange_generators_from_tensor(tensor)
+    want_plus, want_minus = kron_loop_exchange(tensor)
+    assert np.array_equal(v_plus.matrix, want_plus)
+    assert np.array_equal(v_minus.matrix, want_minus)
+
+
 def test_exchange_nonzero_along_z():
     v_plus, v_minus = exchange_generators(np.array([0.0, 0.0, 1.0]))
     assert np.linalg.norm(v_plus.matrix) > 0.1

@@ -19,6 +19,7 @@ from cbs2.perturbation import (
     AVERAGING_DROPS,
     DeflatedResolvent,
     DegeneracyError,
+    _trace_row_solve,
     build_expansion,
     intensity_terms,
     mean_dipole_orders,
@@ -82,10 +83,32 @@ def test_zeroth_order_populations():
         assert abs(reduced[2, 2]) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "omega,phi_L,delta",
+    [(omega, phi_L, 0.0) for omega in (0.1, 0.25, 0.5, 2.0**-0.5, 1.0, 10.0, 100.0)
+     for phi_L in (0.0, 1.7)] + [(1.0, 0.0, 2.5)],
+)
+def test_zeroth_order_matches_dense_trace_row_solve(omega, phi_L, delta):
+    # the sector-restricted solve against the trace-row solve of the whole
+    # 256 x 256 system; Omega = gamma/2 and gamma are exceptional points
+    gen = free_generator(PhysParams(omega=omega, delta=delta), phi_L)
+    want = _trace_row_solve(gen.matrix).reshape(HILBERT_DIM, HILBERT_DIM)
+    want = 0.5 * (want + want.conj().T)
+    got = zeroth_steady_state(gen)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_zeroth_order_degeneracy_guard():
     null_gen = Generator(np.zeros((LIOUVILLE_DIM, LIOUVILLE_DIM), dtype=complex))
-    with pytest.raises(DegeneracyError):
-        zeroth_steady_state(null_gen)
+    # a second stationary direction outside the population sector: every
+    # state with atom 1 in the coherence |2><3| is made stationary
+    coherence = [16 * (4 + i2) + 8 + j2 for i2 in range(4) for j2 in range(4)]
+    matrix = free_generator(PhysParams(omega=1.0)).matrix.copy()
+    matrix[coherence, :] = 0.0
+    matrix[:, coherence] = 0.0
+    for gen in (null_gen, Generator(matrix)):
+        with pytest.raises(DegeneracyError):
+            zeroth_steady_state(gen)
 
 
 def test_traceless_solver_contract():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from cbs2 import _blas, oracle
+from cbs2 import oracle
 from cbs2.generators import (
     EXCITED_LEVELS,
     LIOUVILLE_DIM,
@@ -145,16 +145,22 @@ def expansion_pair():
     return pert, cfg
 
 
+def raw_source(pert, atom, key):
+    """Stationary order times the raising dipole, before the elastic part
+    is subtracted."""
+    return pert[key] @ transition_operator(atom, 2, "raising")
+
+
 def test_regression_sources_structure(expansion_pair):
     pert, _ = expansion_pair
     for atom in (1, 2):
         src = regression_sources(pert, atom)
         assert src.atom == atom
-        assert np.max(np.abs(src.raw[(0, 0)])) == 0.0
+        assert np.max(np.abs(raw_source(pert, atom, (0, 0)))) == 0.0
         for key, conn in src.connected.items():
             assert abs(np.trace(conn)) < 1e-12
         # subtracting the elastic part changes something at order (1, 1)
-        diff = src.raw[(1, 1)] - src.connected[(1, 1)]
+        diff = raw_source(pert, atom, (1, 1)) - src.connected[(1, 1)]
         assert np.max(np.abs(diff)) > 1e-4
 
 
@@ -176,13 +182,16 @@ def test_source_swap_phase_symmetry():
     # rotation of the excited manifolds and one overall phase factor
     params = PhysParams.from_saturation(1.0)
     phi = 0.9
-    src1 = regression_sources(build_expansion(params, Configuration(phi_L=phi)), 1)
-    src2 = regression_sources(build_expansion(params, Configuration(phi_L=-phi)), 2)
+    pert1 = build_expansion(params, Configuration(phi_L=phi))
+    pert2 = build_expansion(params, Configuration(phi_L=-phi))
+    src1 = regression_sources(pert1, 1)
+    src2 = regression_sources(pert2, 2)
     rot = excited_rotation(phi)
     for key in ((1, 0), (1, 1)):
-        for field in ("raw", "connected"):
-            a = getattr(src1, field)[key]
-            b = getattr(src2, field)[key]
+        for a, b in (
+            (raw_source(pert1, 1, key), raw_source(pert2, 2, key)),
+            (src1.connected[key], src2.connected[key]),
+        ):
             mapped = np.exp(-1j * phi) * (rot @ swap_atoms(b) @ rot.conj().T)
             assert np.allclose(a, mapped, atol=1e-12)
 
@@ -234,68 +243,6 @@ def test_enhancement_from_spectrum(engine_s1):
     assert 1.0 + crossed / ladder == pytest.approx(
         oracle.enhancement_factor(1.0), rel=1e-9
     )
-
-
-requires_openblas_api = pytest.mark.skipif(
-    not _blas._thread_apis(), reason="no bundled OpenBLAS thread-count API found"
-)
-
-
-@pytest.fixture
-def two_blas_threads():
-    """Every bundled OpenBLAS on two threads, so that a pin to one shows."""
-    before = _blas.thread_counts()
-    _blas._set_thread_counts([2] * len(before))
-    yield [2] * len(before)
-    _blas._set_thread_counts(before)
-
-
-@requires_openblas_api
-def test_single_blas_thread_pins_and_restores(two_blas_threads):
-    one = [1] * len(two_blas_threads)
-    with _blas.single_blas_thread():
-        assert _blas.thread_counts() == one
-        with _blas.single_blas_thread():
-            assert _blas.thread_counts() == one
-        assert _blas.thread_counts() == one
-    assert _blas.thread_counts() == two_blas_threads
-    with pytest.raises(KeyError):
-        with _blas.single_blas_thread():
-            raise KeyError
-    assert _blas.thread_counts() == two_blas_threads
-
-
-@requires_openblas_api
-def test_kernel_entry_points_run_on_one_blas_thread(two_blas_threads, monkeypatch):
-    import cbs2.perturbation
-    import cbs2.spectrum
-
-    seen = []
-
-    def recording(func):
-        def wrapper(*args, **kwargs):
-            seen.append((func.__name__, _blas.thread_counts()))
-            return func(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(
-        cbs2.perturbation, "zeroth_steady_state",
-        recording(cbs2.perturbation.zeroth_steady_state),
-    )
-    monkeypatch.setattr(
-        cbs2.spectrum, "regression_sources", recording(cbs2.spectrum.regression_sources)
-    )
-    monkeypatch.setattr(
-        SpectrumEngine, "pair_transforms", recording(SpectrumEngine.pair_transforms)
-    )
-    engine = SpectrumEngine(PhysParams.from_saturation(1.0), Configuration())
-    assert _blas.thread_counts() == two_blas_threads
-    engine.densities(np.array([0.0, 1.0]))
-    assert _blas.thread_counts() == two_blas_threads
-    assert {name for name, _ in seen} == {
-        "zeroth_steady_state", "regression_sources", "pair_transforms"
-    }
-    assert all(counts == [1] * len(two_blas_threads) for _, counts in seen)
 
 
 @pytest.mark.xfail(
@@ -369,6 +316,23 @@ def test_grid_coverage_guards():
         delta=0.0,
     )
     with pytest.raises(GridCoverageError):
+        integrate_spectrum(spec)
+    # covers +-(2 omega + 20 gamma) with a negligible boundary density, but
+    # 9 points leave nothing for the tail fit
+    half = np.array([1e4, 3e3, 100.0, 1.0])
+    nu = np.concatenate([-half, [0.0], half[::-1]])
+    ladder, crossed = oracle.strong_field_spectra(nu, 10.0)
+    spec = SpectrumResult(
+        nu=nu,
+        ladder_inel=ladder,
+        crossed_inel=crossed,
+        ladder_el_weight=0.0,
+        crossed_el_weight=0.0,
+        omega=10.0,
+        gamma=1.0,
+        delta=0.0,
+    )
+    with pytest.raises(GridCoverageError, match="at least 10 points"):
         integrate_spectrum(spec)
 
 
