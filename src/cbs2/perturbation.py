@@ -155,6 +155,10 @@ class DeflatedResolvent:
         B is a traceless 256-vector or 256 x k block, shared by all shifts,
         or an F x 256 x k stack with one block per shift.  X has the shape
         of B, with a leading axis of length F when z is an array.
+
+        Only the sectors where B has a nonzero entry, for some shift or
+        column, are factored and solved; X is exactly 0 on all others.  A
+        singular block raises ResolventPoleError only when B reaches it.
         """
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
         b = np.asarray(rhs, dtype=complex)
@@ -170,16 +174,14 @@ class DeflatedResolvent:
         gathered = stack[:, self._order, :]
         for rows, blocks in self._groups:
             count, dim, _ = blocks.shape
-            shifted = blocks - zs[:, None, None, None] * np.eye(dim)
+            # a view: solutions written to it land in gathered
             slab = gathered[:, rows, :].reshape(zs.size, count, dim, -1)
-            gathered[:, rows, :] = _batched_solve(shifted, slab).reshape(
-                zs.size, count * dim, -1
-            )
-        # the sweep solves once per stage and chunk, so full-size (F, 256, k)
-        # temporaries are freed or reused early: above about 2 MiB per chunk
-        # (glibc's heap trim threshold once 1 MiB arrays have been freed),
-        # every chunk returned its memory and faulted it back in, about
-        # 38,000 page faults per 600-point sweep
+            reached = np.flatnonzero(np.any(slab != 0, axis=(0, 2, 3)))
+            if reached.size:
+                shifted = blocks[reached] - zs[:, None, None, None] * np.eye(dim)
+                slab[:, reached] = _batched_solve(shifted, slab[:, reached])
+        # full-size (F, 256, k) temporaries are freed or reused early, to
+        # keep a sweep chunk under glibc's trim threshold (spectrum.SWEEP_CHUNK)
         x = gathered[:, self._unorder, :]
         del gathered
 

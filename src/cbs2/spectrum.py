@@ -15,7 +15,7 @@ and adding the elastic weight reproduces the normalized intensity totals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -34,11 +34,13 @@ from .perturbation import (
 SOURCE_ORDERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 #: Frequencies per batched resolvent call in SpectrumEngine.densities.
-#: Batching amortizes the per-call overhead: a 630-point sweep takes about
-#: 1.1 s one frequency per call, 0.5 s at 8, about as long at 16 and
-#: 0.7 s at 32 (2-vCPU host, one BLAS thread).  The stacked right-hand
-#: sides and solutions grow with the chunk, to a peak of about 2 MiB at 8
-#: and 8 MiB at 32, close to the 10% memory bound of the benchmark.
+#: Batching amortizes the per-call overhead: in the spectrum-sweep
+#: benchmark's item loop (2-vCPU host) a 630-point sweep takes a median
+#: 0.47 s one frequency per call, 0.24 s at 4, 0.19 s at 8, 0.21 s at 16
+#: and 0.24 s at 32.  A call's temporaries peak at 1.1 MiB at 8 and
+#: 2.1 MiB at 16; above about 2 MiB (glibc's trim threshold once 1 MiB
+#: arrays have been freed) every call returns its memory and faults it
+#: back in, about 300 minor faults per sweep at 8 and 22,000 at 16.
 SWEEP_CHUNK = 8
 
 
@@ -46,23 +48,16 @@ class GridCoverageError(ValueError):
     """Frequency grid does not cover the spectral support well enough."""
 
 
-@dataclass(frozen=True)
-class RegressionSources:
-    """Initial conditions for the regression correlators of one atom.
+def regression_sources(pert: PerturbativeState, atom: int) -> dict:
+    """Order-resolved regression sources for the detected transition.
 
-    connected[(m, n)] is the stationary state correction of that order
-    multiplied from the right by the raising dipole, with the mean-dipole
-    (elastic) part subtracted order by order; it is traceless, hence
-    orthogonal to the stationary mode.
+    Maps each order (m, n) of SOURCE_ORDERS to the stationary state
+    correction of that order multiplied from the right by the raising
+    dipole, with the mean-dipole (elastic) part subtracted order by order;
+    each source is traceless, hence orthogonal to the stationary mode.
+    The drive never populates the detected excited level, so the (0, 0)
+    source vanishes; that is checked here, and the sweep leaves it out.
     """
-
-    atom: int
-    connected: dict
-    dipoles: dict
-
-
-def regression_sources(pert: PerturbativeState, atom: int) -> RegressionSources:
-    """Order-resolved regression sources for the detected transition."""
     raising = transition_operator(atom, 2, "raising")
     dipoles = mean_dipole_orders(pert, atom)
     connected = {}
@@ -77,7 +72,13 @@ def regression_sources(pert: PerturbativeState, atom: int) -> RegressionSources:
             raise RuntimeError(
                 f"connected source ({m},{n}) has trace {trace:.3e}"
             )
-    return RegressionSources(atom=atom, connected=connected, dipoles=dipoles)
+    single = np.linalg.norm(connected[(0, 0)])
+    if not single <= 1e-12 * np.linalg.norm(pert[(0, 0)]):
+        raise RuntimeError(
+            f"order (0, 0) source of atom {atom} has norm {single:.3e}: the "
+            f"drive populates the detected excited level"
+        )
+    return connected
 
 
 @dataclass(frozen=True)
@@ -184,51 +185,44 @@ class SpectrumEngine:
         self.params = params
         self.cfg = cfg
         self.pert = build_expansion(params, cfg)
-        self.sources = {1: regression_sources(self.pert, 1), 2: regression_sources(self.pert, 2)}
         # row b-1 reads the lowering dipole of detection atom b
         self._functionals = sparse.csr_array(
             np.stack([transition_operator(b, 2, "lowering").T.reshape(-1) for b in (1, 2)])
         )
+        sources = {a: regression_sources(self.pert, a) for a in (1, 2)}
         self._stage1 = np.stack(
-            [
-                self.sources[a].connected[key].reshape(-1)
-                for a in (1, 2)
-                for key in ((1, 1), (0, 1), (1, 0), (0, 0))
-            ],
+            [sources[a][key].reshape(-1) for a in (1, 2) for key in ((1, 1), (0, 1), (1, 0))],
             axis=1,
         )
 
     def pair_transforms(self, nu: np.ndarray) -> np.ndarray:
         """F x 2 x 2 one-sided correlator transforms at the F frequencies
         nu (units of gamma); entry [f, a-1, b-1] pairs source atom a with
-        detection functional atom b."""
+        detection functional atom b.
+
+        Two chained resolvent stages of 6 and 4 columns give
+        R s11 + R V+ R s01 + R V- R s10 with R = (z - L)^-1 at z = -i nu and
+        s the sources of atom a.  The order-(0, 0) terms
+        R V- R V+ R s00 + R V+ R V- R s00 are left out: regression_sources
+        checks that s00 vanishes.
+        """
         z = -1j * np.atleast_1d(np.asarray(nu, dtype=float)) * self.params.gamma
 
         def resolve(rhs: np.ndarray) -> np.ndarray:
             # (z - L)^-1 = -(L - z)^-1
             return -self.pert.resolvent.solve(z, rhs)
 
+        # columns per atom a: y11, y01, y10; stage 2 takes, per atom,
+        # V+ y01, V- y10
         y = resolve(self._stage1)
-        # columns per atom a: y11, y01, y10, y00; stage 2 takes, per atom,
-        # V+ y01, V- y10, V+ y00, V- y00
         stage2 = np.stack(
-            [_apply(self.pert.v_plus, y[:, :, [1, 3, 5, 7]]),
-             _apply(self.pert.v_minus, y[:, :, [2, 3, 6, 7]])],
+            [_apply(self.pert.v_plus, y[:, :, [1, 4]]),
+             _apply(self.pert.v_minus, y[:, :, [2, 5]])],
             axis=-1,
-        ).reshape(y.shape)
+        ).reshape(y.shape[:2] + (4,))
         u = resolve(stage2)
-        # stage 3 takes, per atom, V- u(V+ y00), V+ u(V- y00)
-        stage3 = np.stack(
-            [_apply(self.pert.v_minus, u[:, :, [2, 6]]),
-             _apply(self.pert.v_plus, u[:, :, [3, 7]])],
-            axis=-1,
-        ).reshape(u.shape[:2] + (4,))
-        v = resolve(stage3)
 
-        total = (
-            y[:, :, [0, 4]] + u[:, :, [0, 4]] + u[:, :, [1, 5]]
-            + v[:, :, [0, 2]] + v[:, :, [1, 3]]
-        )
+        total = y[:, :, [0, 3]] + u[:, :, [0, 2]] + u[:, :, [1, 3]]
         # total[f, :, a] -> out[f, a, b]
         return _apply(self._functionals, total).transpose(0, 2, 1)
 

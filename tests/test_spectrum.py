@@ -5,6 +5,8 @@ integrated spectrum against the stationary intensities, and agreement
 with the closed-form weak-drive limit.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -15,11 +17,17 @@ from cbs2.generators import (
     LIOUVILLE_DIM,
     TRACE_VECTOR,
     Generator,
+    exchange_generators,
     free_generator,
     transition_operator,
 )
 from cbs2.geometry import Configuration, PhysParams
-from cbs2.perturbation import DeflatedResolvent, build_expansion, zeroth_steady_state
+from cbs2.perturbation import (
+    DeflatedResolvent,
+    _sectors,
+    build_expansion,
+    zeroth_steady_state,
+)
 from cbs2.spectrum import (
     SWEEP_CHUNK,
     GridCoverageError,
@@ -137,6 +145,56 @@ def test_resolvent_pole_names_the_failing_shift():
         DeflatedResolvent(null, rho0).solve(np.array([1.0j, 0.0, -2.0j]), src)
 
 
+def test_resolvent_leaves_unreached_sectors_at_zero(free_and_rho0):
+    # column 0 of B lives on the population sector (made traceless through
+    # the population at index 0) and one 12-dimensional coherence sector,
+    # column 1 on two other coherence sectors; X matches the dense solve
+    # and is exactly 0 everywhere else
+    free, rho0 = free_and_rho0
+    sectors = _sectors(free.matrix)
+    groups = {index.shape[1]: index for index in sectors}
+    populations = next(index for group in sectors for index in group if index[0] == 0)
+    columns = (
+        np.concatenate([populations, groups[12][1]]),
+        np.concatenate([groups[12][5], groups[4][2]]),
+    )
+    rng = np.random.default_rng(11)
+    block = np.zeros((LIOUVILLE_DIM, 2), dtype=complex)
+    for k, rows in enumerate(columns):
+        block[rows, k] = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+    block[0] -= TRACE_VECTOR @ block
+    reached = np.concatenate(columns)
+    nu = np.array([-1.0, 0.5, 3.0])
+    x = DeflatedResolvent(free, rho0).solve(-1j * nu, block)
+    unreached = np.setdiff1d(np.arange(LIOUVILLE_DIM), reached)
+    assert np.all(x[:, unreached, :] == 0)
+    for nu_f, x_f in zip(nu, x):
+        want = la.solve(free.matrix + 1j * nu_f * np.eye(LIOUVILLE_DIM), block)
+        assert np.linalg.norm(x_f - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_resolvent_pole_only_in_reached_sectors(free_and_rho0):
+    # zeroing the rows and columns of one 12-dimensional coherence sector
+    # leaves twelve singular 1 x 1 blocks at z = 0: a right-hand side that
+    # reaches them raises, one that does not is solved as before
+    free, rho0 = free_and_rho0
+    dead = next(index for index in _sectors(free.matrix) if index.shape[1] == 12)[0]
+    matrix = free.matrix.copy()
+    matrix[dead, :] = 0.0
+    matrix[:, dead] = 0.0
+    resolvent = DeflatedResolvent(Generator(matrix), rho0)
+    src = random_traceless(np.random.default_rng(12)).reshape(-1)
+    with pytest.raises(ResolventPoleError):
+        resolvent.solve(0.0, src)
+    live = src.copy()
+    live[dead] = 0.0
+    x = resolvent.solve(0.0, live)
+    assert np.all(x[dead] == 0)
+    want = DeflatedResolvent(free, rho0).solve(0.0, live)
+    assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+
+
 @pytest.fixture(scope="module")
 def expansion_pair():
     params = PhysParams.from_saturation(1.0)
@@ -155,12 +213,12 @@ def test_regression_sources_structure(expansion_pair):
     pert, _ = expansion_pair
     for atom in (1, 2):
         src = regression_sources(pert, atom)
-        assert src.atom == atom
+        assert set(src) == {(0, 0), (1, 0), (0, 1), (1, 1)}
         assert np.max(np.abs(raw_source(pert, atom, (0, 0)))) == 0.0
-        for key, conn in src.connected.items():
+        for key, conn in src.items():
             assert abs(np.trace(conn)) < 1e-12
         # subtracting the elastic part changes something at order (1, 1)
-        diff = raw_source(pert, atom, (1, 1)) - src.connected[(1, 1)]
+        diff = raw_source(pert, atom, (1, 1)) - src[(1, 1)]
         assert np.max(np.abs(diff)) > 1e-4
 
 
@@ -190,10 +248,62 @@ def test_source_swap_phase_symmetry():
     for key in ((1, 0), (1, 1)):
         for a, b in (
             (raw_source(pert1, 1, key), raw_source(pert2, 2, key)),
-            (src1.connected[key], src2.connected[key]),
+            (src1[key], src2[key]),
         ):
             mapped = np.exp(-1j * phi) * (rot @ swap_atoms(b) @ rot.conj().T)
             assert np.allclose(a, mapped, atol=1e-12)
+
+
+def test_regression_sources_reject_populated_detected_level(expansion_pair):
+    # weight moved from the ground to the detected excited level of atom 1
+    # in the (0, 0) order would scatter singly into the detected channel
+    pert, _ = expansion_pair
+    ground = transition_operator(1, 2, "lowering") @ transition_operator(1, 2, "raising")
+    tilt = 1e-6 * (transition_operator(1, 2, "projector") - ground)
+    tilted = dataclasses.replace(pert, orders={**pert.orders, (0, 0): pert[(0, 0)] + tilt})
+    for atom in (1, 2):
+        with pytest.raises(RuntimeError, match=r"order \(0, 0\) source"):
+            regression_sources(tilted, atom)
+
+
+@pytest.mark.parametrize("delta", [0.0, 3.0])
+@pytest.mark.parametrize("omega", [0.5, 1.0, 100.0])
+def test_pair_transforms_match_dense_full_chain(omega, delta):
+    # all five terms of the regression chain, the order-(0, 0) ones the
+    # engine leaves out included, from dense solves of the 256 x 256
+    # deflated system at one random orientation and drive phase
+    rng = np.random.default_rng(13)
+    n_hat = rng.standard_normal(3)
+    cfg = Configuration(n_hat=tuple(n_hat / np.linalg.norm(n_hat)), phi_L=rng.uniform(0, 2 * np.pi))
+    params = PhysParams(omega=omega, delta=delta)
+    engine = SpectrumEngine(params, cfg)
+    pert = engine.pert
+    deflated = free_generator(params, cfg.phi_L).matrix + np.outer(
+        pert[(0, 0)].reshape(-1), TRACE_VECTOR
+    )
+    v_plus, v_minus = (v.matrix for v in exchange_generators(cfg.n_hat, params.gamma))
+    nu = np.array([0.0, 0.7, -0.7, omega, -omega])
+    want = np.empty((nu.size, 2, 2), dtype=complex)
+    for f, nu_f in enumerate(nu):
+        lu = la.lu_factor(deflated + 1j * nu_f * params.gamma * np.eye(LIOUVILLE_DIM))
+
+        def resolve(x):
+            # (z - L)^-1 at z = -i nu, one dense LU per frequency
+            return -la.lu_solve(lu, x)
+
+        for a in (1, 2):
+            s = {key: src.reshape(-1) for key, src in regression_sources(pert, a).items()}
+            total = (
+                resolve(s[(1, 1)])
+                + resolve(v_plus @ resolve(s[(0, 1)]))
+                + resolve(v_minus @ resolve(s[(1, 0)]))
+                + resolve(v_minus @ resolve(v_plus @ resolve(s[(0, 0)])))
+                + resolve(v_plus @ resolve(v_minus @ resolve(s[(0, 0)])))
+            ).reshape(16, 16)
+            for b in (1, 2):
+                want[f, a - 1, b - 1] = np.trace(transition_operator(b, 2, "lowering") @ total)
+    got = engine.pair_transforms(nu)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_engine_rejects_degenerate_orientation():
