@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import require_finite
+
 #: Isotropic average of the squared orientation factor.
 ISOTROPIC_FACTOR = 2.0 / 15.0
 
@@ -39,6 +41,7 @@ class AverageSpec:
     width_frac: float = 0.5
 
     def __post_init__(self):
+        require_finite(self, "ell_k0", "width_frac")
         if self.samples < 1:
             raise ValueError("samples must be positive")
         if not 0.0 <= self.width_frac < 1.0:
@@ -47,14 +50,20 @@ class AverageSpec:
             raise ValueError("ell_k0 must be positive")
 
 
+def _check_theta(theta: float) -> None:
+    if not (math.isfinite(theta) and theta >= 0):
+        raise ValueError(f"theta must be non-negative and finite, got {theta}")
+
+
 def angular_factor(theta: float, k_ell: float) -> tuple[float, float]:
     """Analytic small-angle geometry factors (crossed, ladder).
 
     The ladder factor is the isotropic constant 2/15; the crossed factor
     acquires the quadratic fringe reduction -(k_ell * theta)^2 / 35.
     """
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
+    _check_theta(theta)
+    if not math.isfinite(k_ell):
+        raise ValueError(f"k_ell must be finite, got {k_ell}")
     x = k_ell * theta
     if x > SMALL_ANGLE_LIMIT:
         warnings.warn(
@@ -73,8 +82,7 @@ def mc_average(spec: AverageSpec, theta: float = 0.0) -> tuple[float, float]:
     wave vector of modulus 2 k0 sin(theta/2) transverse to the laser
     axis.  Returns (mean, standard_error); deterministic for fixed seed.
     """
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
+    _check_theta(theta)
     rng = np.random.default_rng(spec.seed)
     n = rng.normal(size=(spec.samples, 3))
     n /= np.linalg.norm(n, axis=1)[:, None]

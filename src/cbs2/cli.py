@@ -182,8 +182,8 @@ def build_parser() -> _Parser:
 
 
 def cmd_enhancement_curve(args) -> int:
-    if not (0.0 < args.s_min < args.s_max):
-        raise ValueError("need 0 < s-min < s-max")
+    if not (0.0 < args.s_min < args.s_max < np.inf):
+        raise ValueError("need 0 < s-min < s-max < inf")
     if args.points < 2:
         raise ValueError("need at least 2 points")
     if args.log_spacing:
@@ -208,8 +208,8 @@ def _spectrum_grid(args) -> np.ndarray:
     if nu_max is None:
         nu_max = max(5.0, 2.5 * args.omega + 15.0)
     nu_min = args.nu_min if args.nu_min is not None else -nu_max
-    if not nu_min < nu_max:
-        raise ValueError("need nu-min < nu-max")
+    if not (-np.inf < nu_min < nu_max < np.inf):
+        raise ValueError("need finite nu-min < nu-max")
     if args.points < 2:
         raise ValueError("need at least 2 points")
     return np.linspace(nu_min, nu_max, args.points)
@@ -218,8 +218,8 @@ def _spectrum_grid(args) -> np.ndarray:
 def cmd_spectrum(args) -> int:
     if args.omega <= 0:
         raise ValueError("omega must be positive")
-    nu = _spectrum_grid(args)
     params = PhysParams(omega=args.omega)
+    nu = _spectrum_grid(args)
     s = params.saturation
     if args.method == "numeric":
         engine = SpectrumEngine(params, Configuration())

@@ -88,6 +88,14 @@ def transverse_helicity_element(n_hat: np.ndarray) -> complex:
     return e_p @ transverse_projector(n) @ e_p
 
 
+def require_finite(record, *names: str) -> None:
+    """Refuse NaN and infinite values of the named fields of record."""
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PhysParams:
     """Single-atom drive parameters.  omega is the Rabi frequency of the
@@ -98,6 +106,7 @@ class PhysParams:
     delta: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, "gamma", "delta", "omega")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.omega < 0:
@@ -110,8 +119,8 @@ class PhysParams:
 
     @classmethod
     def from_saturation(cls, s: float, gamma: float = 1.0, delta: float = 0.0) -> "PhysParams":
-        if s < 0:
-            raise ValueError("saturation must be non-negative")
+        if not (math.isfinite(s) and s >= 0):
+            raise ValueError(f"saturation must be non-negative and finite, got {s}")
         omega = math.sqrt(2.0 * s * (gamma**2 + delta**2))
         return cls(omega=omega, gamma=gamma, delta=delta)
 
@@ -136,9 +145,12 @@ class Configuration:
         n = np.asarray(self.n_hat, dtype=float)
         if n.shape != (3,):
             raise ValueError("n_hat must be a 3-vector")
+        if not np.all(np.isfinite(n)):
+            raise ValueError(f"n_hat must be finite, got {n}")
         if abs(np.linalg.norm(n) - 1.0) > 1e-12:
             raise ValueError("n_hat must be a unit vector (|n| - 1 within 1e-12)")
         object.__setattr__(self, "n_hat", n)
+        require_finite(self, "k0_r", "ell_k0", "theta", "phi_L")
         if self.k0_r < MIN_K0R:
             raise ValueError(
                 f"k0_r = {self.k0_r} below the far-field validity floor {MIN_K0R}"

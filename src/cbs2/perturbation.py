@@ -129,65 +129,117 @@ class DeflatedResolvent:
     solve is one batched LU with partial pivoting per size.  No
     eigenvectors are formed, so exceptional points of L need no special
     treatment.
+
+    restricted() gives the same resolvent on some of the sectors only;
+    rows lists the entries of the 256-vector that its vectors hold (all of
+    them here).
     """
 
     def __init__(self, gen: Generator, rho0: np.ndarray):
-        self._matrix = sparse.csr_array(gen.matrix)
         deflated = gen.matrix + np.outer(
             np.asarray(rho0, dtype=complex).reshape(-1), TRACE_VECTOR
         )
-        # sectors of one size form one (count, dim) slab of the sector
-        # order and one (count, dim, dim) stack of diagonal blocks
-        order, self._groups = [], []
-        start = 0
-        for index in _sectors(gen.matrix):
-            rows = slice(start, start + index.size)
-            self._groups.append((rows, deflated[index[:, :, None], index[:, None, :]]))
-            order.append(index.reshape(-1))
-            start += index.size
-        self._order = np.concatenate(order)
+        self._setup(
+            sparse.csr_array(gen.matrix),
+            TRACE_VECTOR,
+            np.arange(LIOUVILLE_DIM),
+            [
+                (index, deflated[index[:, :, None], index[:, None, :]])
+                for index in _sectors(gen.matrix)
+            ],
+        )
+
+    def _setup(self, matrix, trace, rows, groups) -> None:
+        # rows: the entries of the 256-vector that this resolvent's vectors
+        # hold, in order; groups: per sector size, a (count, dim) array of
+        # sector indices into those vectors and the (count, dim, dim) stack
+        # of the deflated diagonal blocks
+        self._matrix, self._trace, self.rows, self._groups = matrix, trace, rows, groups
+        self._order = np.concatenate([index.reshape(-1) for index, _ in groups])
         self._unorder = np.argsort(self._order)
+        # the sector number of each entry
+        self._sector = np.empty(rows.size, dtype=int)
+        count = 0
+        for index, _ in groups:
+            self._sector[index] = count + np.arange(index.shape[0])[:, None]
+            count += index.shape[0]
+
+    def sector_closure(self, rows) -> np.ndarray:
+        """Sorted indices of all entries of the sectors that hold any of
+        rows (indices into this resolvent's vectors)."""
+        # sector numbers are below the number of entries
+        hit = np.zeros(self.rows.size, dtype=bool)
+        hit[self._sector[rows]] = True
+        return np.flatnonzero(hit[self._sector])
+
+    def restricted(self, rows) -> "DeflatedResolvent":
+        """The resolvent on the sectors that hold any of rows (indices into
+        this resolvent's vectors), in compact coordinates.
+
+        Its vectors hold the kept entries only, in their order here; its
+        rows attribute names them as entries of the 256-vector.  L maps
+        each sector into itself, so for a right-hand side that is 0 outside
+        the kept sectors, solve() on the result gives the kept entries of
+        solve() here, with the same traceless and residual checks.
+        """
+        kept = self.sector_closure(rows)
+        compact = np.full(self.rows.size, -1)
+        compact[kept] = np.arange(kept.size)
+        groups = []
+        for index, blocks in self._groups:
+            hit = compact[index[:, 0]] >= 0
+            if hit.any():
+                groups.append((compact[index[hit]], blocks[hit]))
+        out = object.__new__(DeflatedResolvent)
+        out._setup(
+            csr_block(self._matrix, kept, kept), self._trace[kept], self.rows[kept], groups
+        )
+        return out
 
     def solve(self, z, rhs: np.ndarray) -> np.ndarray:
         """Solve (L - z) X = B at one shift z or at each of a 1-d array of
         F shifts.
 
-        B is a traceless 256-vector or 256 x k block, shared by all shifts,
-        or an F x 256 x k stack with one block per shift.  X has the shape
-        of B, with a leading axis of length F when z is an array.
+        B is a traceless n-vector or n x k block, shared by all shifts, or
+        an F x n x k stack with one block per shift, where n is the length
+        of rows (256 unless restricted).  X has the shape of B, with a
+        leading axis of length F when z is an array.
 
         Only the sectors where B has a nonzero entry, for some shift or
         column, are factored and solved; X is exactly 0 on all others.  A
         singular block raises ResolventPoleError only when B reaches it.
         """
+        n = self.rows.size
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
         b = np.asarray(rhs, dtype=complex)
         tail = b.shape[1:] if b.ndim == 3 else b.shape
-        per_shift = b.reshape(-1, LIOUVILLE_DIM, 1 if b.ndim == 1 else b.shape[-1])
+        per_shift = b.reshape(-1, n, 1 if b.ndim == 1 else b.shape[-1])
         stack = np.broadcast_to(per_shift, (zs.size,) + per_shift.shape[1:])
-        trace = np.abs(TRACE_VECTOR @ stack)
+        trace = np.abs(self._trace @ stack)
         if np.any(trace > 1e-10 * np.maximum(np.linalg.norm(stack, axis=1), 1e-300)):
             raise ValueError(
                 f"right-hand side must be traceless, trace = {np.max(trace):.3e}"
             )
 
         gathered = stack[:, self._order, :]
-        for rows, blocks in self._groups:
-            count, dim, _ = blocks.shape
+        start = 0
+        for index, blocks in self._groups:
+            count, dim = index.shape
             # a view: solutions written to it land in gathered
-            slab = gathered[:, rows, :].reshape(zs.size, count, dim, -1)
+            slab = gathered[:, start:start + index.size, :].reshape(zs.size, count, dim, -1)
+            start += index.size
             reached = np.flatnonzero(np.any(slab != 0, axis=(0, 2, 3)))
             if reached.size:
                 shifted = blocks[reached] - zs[:, None, None, None] * np.eye(dim)
                 slab[:, reached] = _batched_solve(shifted, slab[:, reached])
-        # full-size (F, 256, k) temporaries are freed or reused early, to
+        # full-size (F, n, k) temporaries are freed or reused early, to
         # keep a sweep chunk under glibc's trim threshold (spectrum.SWEEP_CHUNK)
         x = gathered[:, self._unorder, :]
         del gathered
 
         # the residual test also rejects non-finite input and output
-        residual = self._matrix @ x.transpose(1, 0, 2).reshape(LIOUVILLE_DIM, -1)
-        residual = residual.reshape(LIOUVILLE_DIM, zs.size, -1).transpose(1, 0, 2)
+        residual = self._matrix @ x.transpose(1, 0, 2).reshape(n, -1)
+        residual = residual.reshape(n, zs.size, -1).transpose(1, 0, 2)
         residual -= zs[:, None, None] * x
         residual -= stack
         residual = np.linalg.norm(residual, axis=(1, 2))
@@ -199,6 +251,25 @@ class DeflatedResolvent:
                 f"deflated resolvent at z = {zs[f]} left residual {residual[f]:.3e}"
             )
         return x.reshape(zs.shape + tail if np.ndim(z) else tail)
+
+
+def csr_block(matrix: sparse.csr_array, rows: np.ndarray, cols: np.ndarray) -> sparse.csr_array:
+    """matrix[rows][:, cols] for index arrays, with the entries of each row
+    in their stored order; a few times cheaper than scipy's fancy indexing
+    on the small blocks the spectrum engine takes."""
+    lo = matrix.indptr[rows]
+    counts = matrix.indptr[rows + 1] - lo
+    ends = np.cumsum(counts)
+    take = np.arange(counts.sum()) + np.repeat(lo - ends + counts, counts)
+    compact = np.full(matrix.shape[1], -1)
+    compact[cols] = np.arange(len(cols))
+    col = compact[matrix.indices[take]]
+    keep = col >= 0
+    per_row = np.bincount(np.repeat(np.arange(len(rows)), counts)[keep], minlength=len(rows))
+    return sparse.csr_array(
+        (matrix.data[take[keep]], col[keep], np.concatenate(([0], np.cumsum(per_row)))),
+        shape=(len(rows), len(cols)),
+    )
 
 
 def _batched_solve(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:

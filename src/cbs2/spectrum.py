@@ -20,13 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .generators import transition_operator
+from .generators import LIOUVILLE_DIM, transition_operator
 from .geometry import Configuration, PhysParams
 from .perturbation import (
     PerturbativeState,
     ResolventPoleError,
     build_expansion,
     checked_geometry_weight,
+    csr_block,
     intensity_terms,
     mean_dipole_orders,
 )
@@ -34,14 +35,15 @@ from .perturbation import (
 SOURCE_ORDERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 #: Frequencies per batched resolvent call in SpectrumEngine.densities.
-#: Batching amortizes the per-call overhead: in the spectrum-sweep
-#: benchmark's item loop (2-vCPU host) a 630-point sweep takes a median
-#: 0.47 s one frequency per call, 0.24 s at 4, 0.19 s at 8, 0.21 s at 16
-#: and 0.24 s at 32.  A call's temporaries peak at 1.1 MiB at 8 and
-#: 2.1 MiB at 16; above about 2 MiB (glibc's trim threshold once 1 MiB
-#: arrays have been freed) every call returns its memory and faults it
-#: back in, about 300 minor faults per sweep at 8 and 22,000 at 16.
-SWEEP_CHUNK = 8
+#: Batching amortizes the per-call overhead.  Timed in fresh processes over
+#: the spectrum-sweep benchmark's first omegas (2-vCPU host), a 612-point
+#: spectrum takes a median 0.28 s at one frequency per call, 0.09-0.11 s
+#: at 8, 0.06-0.09 s at 16, 0.055 s at 32 and 0.063-0.069 s at 64.  A call
+#: peaks at 0.54/0.93/1.7/3.3 MiB at 8/16/32/64 frequencies (tracemalloc);
+#: above about 2 MiB (glibc's trim threshold once 1 MiB arrays have been
+#: freed) every call returns its memory and faults it back in, about 5,700
+#: minor faults per spectrum at 64 against 80/190/375 at 8/16/32.
+SWEEP_CHUNK = 32
 
 
 class GridCoverageError(ValueError):
@@ -185,15 +187,42 @@ class SpectrumEngine:
         self.params = params
         self.cfg = cfg
         self.pert = build_expansion(params, cfg)
+        resolvent = self.pert.resolvent
         # row b-1 reads the lowering dipole of detection atom b
-        self._functionals = sparse.csr_array(
-            np.stack([transition_operator(b, 2, "lowering").T.reshape(-1) for b in (1, 2)])
+        functionals = np.stack(
+            [transition_operator(b, 2, "lowering").T.reshape(-1) for b in (1, 2)]
         )
+        # L is block diagonal, so the sweep needs solutions only on the
+        # sectors the functionals read: stage 2 solves there, stage 1 there
+        # for y11 and on the sectors that V+ and V- map into them for y01
+        # and y10.  Each stage-1 source is cut to the sectors of its column.
+        self._read = resolvent.restricted(np.flatnonzero(np.any(functionals != 0, axis=0)))
+        read = self._read.rows
+        v_plus, v_minus = (
+            csr_block(v, read, np.arange(LIOUVILLE_DIM))
+            for v in (self.pert.v_plus, self.pert.v_minus)
+        )
+        cuts = {
+            (1, 1): read,
+            (0, 1): resolvent.sector_closure(v_plus.indices),
+            (1, 0): resolvent.sector_closure(v_minus.indices),
+        }
         sources = {a: regression_sources(self.pert, a) for a in (1, 2)}
-        self._stage1 = np.stack(
-            [sources[a][key].reshape(-1) for a in (1, 2) for key in ((1, 1), (0, 1), (1, 0))],
-            axis=1,
+        # columns per atom a: s11, s01, s10
+        stage1 = np.zeros((LIOUVILLE_DIM, 6), dtype=complex)
+        for column, (a, key) in enumerate((a, key) for a in (1, 2) for key in cuts):
+            stage1[cuts[key], column] = sources[a][key].reshape(-1)[cuts[key]]
+        # the read rows are kept even where s11 vanishes, to read y11 off
+        self._stage1 = resolvent.restricted(
+            np.union1d(read, np.flatnonzero(np.any(stage1 != 0, axis=1)))
         )
+        rows = self._stage1.rows
+        self._sources = stage1[rows]
+        self._v_plus, self._v_minus = (
+            csr_block(v, np.arange(read.size), rows) for v in (v_plus, v_minus)
+        )
+        self._y11_rows = np.searchsorted(rows, read)
+        self._functionals = sparse.csr_array(functionals[:, read])
 
     def pair_transforms(self, nu: np.ndarray) -> np.ndarray:
         """F x 2 x 2 one-sided correlator transforms at the F frequencies
@@ -202,27 +231,27 @@ class SpectrumEngine:
 
         Two chained resolvent stages of 6 and 4 columns give
         R s11 + R V+ R s01 + R V- R s10 with R = (z - L)^-1 at z = -i nu and
-        s the sources of atom a.  The order-(0, 0) terms
-        R V- R V+ R s00 + R V+ R V- R s00 are left out: regression_sources
-        checks that s00 vanishes.
+        s the sources of atom a, each stage on its sectors only (see
+        __init__).  The order-(0, 0) terms R V- R V+ R s00 + R V+ R V- R s00
+        are left out: regression_sources checks that s00 vanishes.
         """
         z = -1j * np.atleast_1d(np.asarray(nu, dtype=float)) * self.params.gamma
 
-        def resolve(rhs: np.ndarray) -> np.ndarray:
+        def resolve(resolvent, rhs: np.ndarray) -> np.ndarray:
             # (z - L)^-1 = -(L - z)^-1
-            return -self.pert.resolvent.solve(z, rhs)
+            return -resolvent.solve(z, rhs)
 
         # columns per atom a: y11, y01, y10; stage 2 takes, per atom,
         # V+ y01, V- y10
-        y = resolve(self._stage1)
+        y = resolve(self._stage1, self._sources)
         stage2 = np.stack(
-            [_apply(self.pert.v_plus, y[:, :, [1, 4]]),
-             _apply(self.pert.v_minus, y[:, :, [2, 5]])],
+            [_apply(self._v_plus, y[:, :, [1, 4]]),
+             _apply(self._v_minus, y[:, :, [2, 5]])],
             axis=-1,
-        ).reshape(y.shape[:2] + (4,))
-        u = resolve(stage2)
+        ).reshape(z.shape + (self._read.rows.size, 4))
+        u = resolve(self._read, stage2)
 
-        total = y[:, :, [0, 3]] + u[:, :, [0, 2]] + u[:, :, [1, 3]]
+        total = y[:, self._y11_rows][:, :, [0, 3]] + u[:, :, [0, 2]] + u[:, :, [1, 3]]
         # total[f, :, a] -> out[f, a, b]
         return _apply(self._functionals, total).transpose(0, 2, 1)
 

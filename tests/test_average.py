@@ -42,6 +42,19 @@ def test_average_spec_validation():
         mc_average(AverageSpec(), theta=-0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_inputs_are_refused(bad):
+    for name in ("ell_k0", "width_frac"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            AverageSpec(**{name: bad})
+    with pytest.raises(ValueError, match="theta"):
+        angular_factor(bad, 1000.0)
+    with pytest.raises(ValueError, match="k_ell"):
+        angular_factor(1e-4, bad)
+    with pytest.raises(ValueError, match="theta"):
+        mc_average(AverageSpec(samples=10), theta=bad)
+
+
 def test_exact_backscattering_matches_isotropic_factor():
     mean, sem = mc_average(AverageSpec(samples=200_000, seed=123))
     assert sem < 1e-3

@@ -226,6 +226,30 @@ def test_mc_average_bad_parameters(capsys):
     assert run(capsys, "mc-average", "--width-frac", "1.5")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mc-average", "--samples", "10", "--theta", "nan"),
+        ("mc-average", "--samples", "10", "--theta", "inf"),
+        ("mc-average", "--samples", "10", "--ell-k0", "nan"),
+        ("mc-average", "--samples", "10", "--width-frac", "nan"),
+        ("spectrum", "--omega", "inf"),
+        ("spectrum", "--omega", "nan"),
+        ("spectrum", "--omega", "1", "--nu-max", "inf"),
+        ("enhancement-curve", "--s-max", "inf"),
+    ],
+    ids=[
+        "mc-theta-nan", "mc-theta-inf", "mc-ell-nan", "mc-width-nan",
+        "spectrum-omega-inf", "spectrum-omega-nan", "spectrum-nu-max-inf", "curve-s-max-inf",
+    ],
+)
+def test_non_finite_parameters_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "cbs2: error:" in err
+
+
 def test_config_file_defaults_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

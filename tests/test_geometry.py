@@ -122,6 +122,35 @@ def test_phys_params_validation():
         PhysParams(omega=-1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["omega", "gamma", "delta"])
+def test_phys_params_refuse_non_finite(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        PhysParams(**{"omega": 1.0, name: bad})
+
+
+@pytest.mark.parametrize(
+    "s, kwargs",
+    [(np.nan, {}), (np.inf, {}), (1.0, {"gamma": np.nan}), (1.0, {"delta": np.inf})],
+)
+def test_from_saturation_refuses_non_finite(s, kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        PhysParams.from_saturation(s, **kwargs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["k0_r", "ell_k0", "theta", "phi_L"])
+def test_configuration_refuses_non_finite(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        Configuration(**{name: bad})
+
+
+@pytest.mark.parametrize("n_hat", [(np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0), (0.0, 0.6, np.nan)])
+def test_configuration_refuses_non_finite_direction(n_hat):
+    with pytest.raises(ValueError, match="n_hat must be finite"):
+        Configuration(n_hat=n_hat)
+
+
 def test_configuration_weight_and_coupling():
     cfg = Configuration()
     np.testing.assert_allclose(cfg.geometry_weight, 0.25, atol=1e-15)

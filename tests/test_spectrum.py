@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg as la
+from scipy import sparse
 
 from cbs2 import oracle
 from cbs2.generators import (
@@ -304,6 +305,131 @@ def test_pair_transforms_match_dense_full_chain(omega, delta):
                 want[f, a - 1, b - 1] = np.trace(transition_operator(b, 2, "lowering") @ total)
     got = engine.pair_transforms(nu)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def csr_apply(op, x):
+    """op applied to every column of an F x n x k stack, by the CSR product."""
+    f, n, k = x.shape
+    return (op @ x.transpose(1, 0, 2).reshape(n, f * k)).reshape(-1, f, k).transpose(1, 0, 2)
+
+
+def full_two_stage_sweep(engine, nu):
+    """pair_transforms on all 256 rows: uncut sources, both stages through
+    the full resolvent, functionals on the full vector."""
+    pert = engine.pert
+    z = -1j * nu * engine.params.gamma
+    sources = {a: regression_sources(pert, a) for a in (1, 2)}
+    stage1 = np.stack(
+        [sources[a][key].reshape(-1) for a in (1, 2) for key in ((1, 1), (0, 1), (1, 0))],
+        axis=1,
+    )
+    y = -pert.resolvent.solve(z, stage1)
+    stage2 = np.stack(
+        [csr_apply(pert.v_plus, y[:, :, [1, 4]]), csr_apply(pert.v_minus, y[:, :, [2, 5]])],
+        axis=-1,
+    ).reshape(nu.size, LIOUVILLE_DIM, 4)
+    u = -pert.resolvent.solve(z, stage2)
+    total = y[:, :, [0, 3]] + u[:, :, [0, 2]] + u[:, :, [1, 3]]
+    functionals = sparse.csr_array(
+        np.stack([transition_operator(b, 2, "lowering").T.reshape(-1) for b in (1, 2)])
+    )
+    return csr_apply(functionals, total).transpose(0, 2, 1)
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return tuple(v / np.linalg.norm(v))
+
+
+ORIENTATIONS = {
+    "default": (1.0, 0.0, 0.0),
+    "random": _unit(np.random.default_rng(14).standard_normal(3)),
+    "in-plane": _unit((np.cos(0.4), np.sin(0.4), 0.0)),
+}
+
+
+@pytest.mark.parametrize("orientation", list(ORIENTATIONS))
+@pytest.mark.parametrize("delta", [0.0, 3.0])
+@pytest.mark.parametrize("omega", [0.1, 0.25, 0.5, 2.0**-0.5, 1.0, 10.0, 100.0])
+def test_pair_transforms_equal_full_two_stage_sweep(omega, delta, orientation):
+    # the sweep on the read sectors does the arithmetic of the full sweep
+    # on the entries that reach the output, so it agrees bit for bit
+    engine = SpectrumEngine(
+        PhysParams(omega=omega, delta=delta),
+        Configuration(n_hat=ORIENTATIONS[orientation], phi_L=0.8),
+    )
+    nu = np.array([0.0, 0.7, -0.7, omega, -omega, 0.5 * omega, 2.0 * omega, 30.0])
+    assert np.array_equal(engine.pair_transforms(nu), full_two_stage_sweep(engine, nu))
+
+
+def sector_closure(matrix, rows):
+    """Union of the sectors of matrix that hold any of rows."""
+    return np.unique(np.concatenate([
+        index for group in _sectors(matrix) for index in group if np.isin(index, rows).any()
+    ]))
+
+
+@pytest.mark.parametrize("orientation", list(ORIENTATIONS))
+def test_engine_reads_the_sector_closure_of_the_functionals(orientation):
+    params = PhysParams(omega=1.0)
+    engine = SpectrumEngine(params, Configuration(n_hat=ORIENTATIONS[orientation]))
+    support = np.flatnonzero(np.any(
+        [transition_operator(b, 2, "lowering").T.reshape(-1) != 0 for b in (1, 2)], axis=0
+    ))
+    matrix = free_generator(params).matrix
+    assert np.array_equal(engine._read.rows, sector_closure(matrix, support))
+    # for the driven pair: two 12-dimensional sectors; stage 1 adds the
+    # 36-dimensional population sector
+    assert engine._read.rows.size == 24
+    assert engine._stage1.rows.size == 60
+    assert np.array_equal(engine._stage1.rows, sector_closure(matrix, engine._stage1.rows))
+
+
+def test_restricted_resolvent_equals_full_solve_on_kept_sectors(free_and_rho0):
+    # a right-hand side on the population sector and one 12-dimensional
+    # sector: the restricted solve gives the kept entries of the full one
+    free, rho0 = free_and_rho0
+    full = DeflatedResolvent(free, rho0)
+    sectors = _sectors(free.matrix)
+    populations = next(index for group in sectors for index in group if index[0] == 0)
+    coherences = next(group for group in sectors if group.shape[1] == 12)[3]
+    rows = np.concatenate([populations, coherences])
+    rng = np.random.default_rng(15)
+    block = np.zeros((LIOUVILLE_DIM, 3), dtype=complex)
+    block[rows] = rng.standard_normal((rows.size, 3)) + 1j * rng.standard_normal((rows.size, 3))
+    block[0] -= TRACE_VECTOR @ block
+    z = -1j * np.array([-2.0, 0.0, 0.5])
+    restricted = full.restricted(rows[[0, -1]])
+    assert np.array_equal(restricted.rows, np.sort(rows))
+    x = restricted.solve(z, block[restricted.rows])
+    assert np.array_equal(x, full.solve(z, block)[:, restricted.rows])
+
+
+def test_restricted_resolvent_refuses_traced_right_hand_side(free_and_rho0):
+    free, rho0 = free_and_rho0
+    restricted = DeflatedResolvent(free, rho0).restricted([0])
+    src = np.random.default_rng(16).standard_normal(restricted.rows.size) + 0j
+    assert abs(TRACE_VECTOR[restricted.rows] @ src) > 1e-3
+    with pytest.raises(ValueError, match="traceless"):
+        restricted.solve(-0.5j, src)
+
+
+@pytest.mark.filterwarnings("error")
+def test_restricted_resolvent_pole_in_kept_sector(free_and_rho0):
+    # zeroing a 12-dimensional coherence sector, as above, leaves twelve
+    # singular 1 x 1 sectors at z = 0: a resolvent restricted to one of
+    # them and a live sector raises there, and solves off the pole
+    free, rho0 = free_and_rho0
+    group = next(index for index in _sectors(free.matrix) if index.shape[1] == 12)
+    dead, live = group[0], group[1]
+    matrix = free.matrix.copy()
+    matrix[dead, :] = 0.0
+    matrix[:, dead] = 0.0
+    restricted = DeflatedResolvent(Generator(matrix), rho0).restricted([dead[0], live[0]])
+    src = random_traceless(np.random.default_rng(17)).reshape(-1)[restricted.rows]
+    with pytest.raises(ResolventPoleError):
+        restricted.solve(0.0, src)
+    assert np.all(np.isfinite(restricted.solve(-1.0j, src)))
 
 
 def test_engine_rejects_degenerate_orientation():
