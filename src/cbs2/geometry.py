@@ -50,7 +50,8 @@ def transverse_projector(n_hat: np.ndarray) -> np.ndarray:
     n = np.asarray(n_hat, dtype=float)
     if n.shape != (3,):
         raise ValueError("n_hat must be a 3-vector")
-    if abs(np.linalg.norm(n) - 1.0) > 1e-9:
+    # written so that NaN and infinite components fail too
+    if not abs(np.linalg.norm(n) - 1.0) <= 1e-9:
         raise ValueError("n_hat must be a unit vector (|n| - 1 within 1e-9)")
     return np.eye(3) - np.outer(n, n)
 
@@ -62,6 +63,8 @@ def exchange_coupling(k0_r: float) -> complex:
     the master equation: (3i / (2 k0 r)) * exp(i k0 r).  Dimensionless;
     modulus 3/(2 k0 r).
     """
+    if not math.isfinite(k0_r):
+        raise ValueError(f"k0_r must be finite, got {k0_r}")
     if k0_r < MIN_K0R:
         raise ValueError(
             f"k0_r = {k0_r} below the far-field validity floor {MIN_K0R}"

@@ -54,8 +54,9 @@ def test_projector_idempotent_and_rank(rng):
 
 
 def test_projector_rejects_non_unit():
-    with pytest.raises(ValueError):
-        transverse_projector(np.array([1.0, 1.0, 0.0]))
+    for n_hat in ((1.0, 1.0, 0.0), (np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            transverse_projector(np.array(n_hat))
 
 
 def test_coupling_value_at_10():
@@ -78,8 +79,9 @@ def test_coupling_modulus_and_phase(rng):
 
 
 def test_coupling_far_field_guard():
-    with pytest.raises(ValueError):
-        exchange_coupling(5.0)
+    for k0_r in (5.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            exchange_coupling(k0_r)
     with pytest.warns(UserWarning):
         exchange_coupling(20.0)
 
