@@ -18,7 +18,6 @@ from .analysis import (
 )
 from .average import AverageSpec, ISOTROPIC_FACTOR, angular_factor, mc_average
 from .generators import (
-    Generator,
     exchange_generators,
     free_generator,
     partial_trace,
@@ -62,7 +61,6 @@ __all__ = [
     "ClassificationError",
     "Configuration",
     "DegeneracyError",
-    "Generator",
     "GridCoverageError",
     "ISOTROPIC_FACTOR",
     "IntensityTerms",

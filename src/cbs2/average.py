@@ -42,8 +42,9 @@ class AverageSpec:
 
     def __post_init__(self):
         require_finite(self, "ell_k0", "width_frac")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
+        # the standard error takes the sample spread, defined from two samples
+        if self.samples < 2:
+            raise ValueError(f"samples must be at least 2, got {self.samples}")
         if not 0.0 <= self.width_frac < 1.0:
             raise ValueError("width_frac must lie in [0, 1)")
         if self.ell_k0 <= 0:

@@ -11,15 +11,17 @@ with s_kl = |k><l| and e_q the helicity unit vectors.
 Operator-space conventions: two-atom operators live on the 16-dimensional
 product space with the atom-1 index outermost (kron(A1, A2)).  Density
 matrices are vectorized row-major, so a superoperator acting as
-rho -> A rho B has matrix kron(A, B.T).  Generators are kept as dense
-256 x 256 arrays; the stationary trace constraint is handled by the
-solvers, not by deflating the generator itself.
+rho -> A rho B has matrix kron(A, B.T).  The free generator is a dense
+complex 256 x 256 array, because its consumers (sector blocks, the
+steady-state solve, the dense reference) are dense; the exchange
+generators are scipy CSR arrays, because they only act on vectors.  The
+stationary trace constraint is handled by the solvers, not by deflating
+the generator itself.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -105,25 +107,6 @@ def sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.kron(left, right.T)
 
 
-@dataclass(frozen=True)
-class Generator:
-    """Dense Liouville-space generator."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (LIOUVILLE_DIM, LIOUVILLE_DIM):
-            raise ValueError("generator must be 256 x 256")
-        object.__setattr__(self, "matrix", m)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Apply the generator to a 16 x 16 density matrix."""
-        return (self.matrix @ np.asarray(rho, dtype=complex).reshape(-1)).reshape(
-            HILBERT_DIM, HILBERT_DIM
-        )
-
-
 def _atom_generator(gamma: float, delta: float, drive: complex) -> np.ndarray:
     """16 x 16 generator of one driven atom on its own 4 x 4 states."""
     ham = np.zeros((4, 4), dtype=complex)
@@ -144,7 +127,7 @@ def _atom_generator(gamma: float, delta: float, drive: complex) -> np.ndarray:
 _PAIR_FROM_ATOMS = np.arange(LIOUVILLE_DIM).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(-1)
 
 
-def free_generator(params: PhysParams, phi_L: float = 0.0) -> Generator:
+def free_generator(params: PhysParams, phi_L: float = 0.0) -> np.ndarray:
     """Generator of the two uncoupled driven atoms.
 
     Atom 1 is driven with Rabi frequency omega, atom 2 with the extra
@@ -158,7 +141,7 @@ def free_generator(params: PhysParams, phi_L: float = 0.0) -> Generator:
     atom_1 = _atom_generator(gamma, delta, omega + 0j)
     atom_2 = _atom_generator(gamma, delta, omega * np.exp(1j * phi_L))
     mat = np.kron(atom_1, eye) + np.kron(eye, atom_2)
-    return Generator(mat[np.ix_(_PAIR_FROM_ATOMS, _PAIR_FROM_ATOMS)])
+    return mat[np.ix_(_PAIR_FROM_ATOMS, _PAIR_FROM_ATOMS)]
 
 
 @functools.cache
@@ -187,23 +170,28 @@ def _exchange_basis() -> tuple[sparse.csr_array, sparse.csr_array]:
     return sparse.vstack(rows_plus, format="csr"), sparse.vstack(rows_minus, format="csr")
 
 
-def exchange_generators_from_tensor(tensor: np.ndarray) -> tuple[Generator, Generator]:
+def exchange_generators_from_tensor(
+    tensor: np.ndarray,
+) -> tuple[sparse.csr_array, sparse.csr_array]:
     """Photon-exchange generators for an arbitrary symmetric rank-2 tensor.
 
-    Returns the pair (V_plus, V_minus) multiplying the exchange coupling
-    g and its conjugate in the full generator L = L_free + g V_plus +
-    conj(g) V_minus.  Both annihilate the trace; only their g, g* weighted
+    Returns the pair (V_plus, V_minus), as CSR arrays, multiplying the
+    exchange coupling g and its conjugate in the full generator
+    L = L_free + g V_plus + conj(g) V_minus.  Both annihilate the trace; only their g, g* weighted
     sum preserves Hermiticity.  Both are linear in the tensor.
     """
     t = np.asarray(tensor, dtype=complex)
     if t.shape != (3, 3):
         raise ValueError("tensor must be 3 x 3")
-    v_plus, v_minus = (t.reshape(-1) @ basis for basis in _exchange_basis())
     shape = (LIOUVILLE_DIM, LIOUVILLE_DIM)
-    return Generator(v_plus.reshape(shape)), Generator(v_minus.reshape(shape))
+    return tuple(
+        sparse.csr_array((t.reshape(-1) @ basis).reshape(shape)) for basis in _exchange_basis()
+    )
 
 
-def exchange_generators(n_hat: np.ndarray, gamma: float = 1.0) -> tuple[Generator, Generator]:
+def exchange_generators(
+    n_hat: np.ndarray, gamma: float = 1.0
+) -> tuple[sparse.csr_array, sparse.csr_array]:
     """Exchange generators for an atom pair oriented along n_hat."""
     return exchange_generators_from_tensor(gamma * transverse_projector(n_hat))
 

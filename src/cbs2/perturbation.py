@@ -4,7 +4,8 @@ The exchange coupling g is small in the far field, so the stationary
 state is expanded in formal powers of g and conj(g).  Order (m, n) means
 m powers of g and n of conj(g); the backscattering signal lives entirely
 at combined order m + n = 2, and of those only (1, 1) survives the
-configuration average over interatomic distances.
+configuration average over interatomic distances, so the expansion stops
+there.
 
 All correction orders are traceless and are obtained from deflated linear
 solves on the traceless subspace, where the free generator is invertible;
@@ -21,7 +22,6 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .generators import (
-    Generator,
     HILBERT_DIM,
     LIOUVILLE_DIM,
     TRACE_VECTOR,
@@ -30,10 +30,6 @@ from .generators import (
     transition_operator,
 )
 from .geometry import Configuration, PhysParams
-
-#: Orders that do not survive the configuration average: they carry a net
-#: phase exp(+-2 i k0 r) that dephases when averaging over distances.
-AVERAGING_DROPS = ((2, 0), (0, 2))
 
 
 class DegeneracyError(RuntimeError):
@@ -70,7 +66,7 @@ def _trace_row_solve(matrix: np.ndarray, trace: np.ndarray = TRACE_VECTOR) -> np
     return la.solve(a, b)
 
 
-def zeroth_steady_state(gen: Generator) -> np.ndarray:
+def zeroth_steady_state(gen: np.ndarray) -> np.ndarray:
     """Unique trace-one stationary state of the free generator.
 
     Solves L rho = 0 with the first row of the system replaced by the
@@ -78,10 +74,10 @@ def zeroth_steady_state(gen: Generator) -> np.ndarray:
     residual, Hermiticity, positivity and uniqueness of the stationary
     direction.
     """
-    sectors = _sectors(gen.matrix)
+    sectors = _sectors(gen)
     # L is block diagonal in its sectors, so its singular values are those
     # of its blocks
-    blocks = [gen.matrix[index[:, :, None], index[:, None, :]] for index in sectors]
+    blocks = [gen[index[:, :, None], index[:, None, :]] for index in sectors]
     sv = np.sort(
         np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for b in blocks])
     )[::-1]
@@ -95,12 +91,12 @@ def zeroth_steady_state(gen: Generator) -> np.ndarray:
     populations = next(index for group in sectors for index in group if index[0] == 0)
     rho = np.zeros(LIOUVILLE_DIM, dtype=complex)
     rho[populations] = _trace_row_solve(
-        gen.matrix[np.ix_(populations, populations)], TRACE_VECTOR[populations]
+        gen[np.ix_(populations, populations)], TRACE_VECTOR[populations]
     )
     rho = rho.reshape(HILBERT_DIM, HILBERT_DIM)
     rho = 0.5 * (rho + rho.conj().T)
 
-    residual = np.linalg.norm(sparse.csr_array(gen.matrix) @ rho.reshape(-1))
+    residual = np.linalg.norm(sparse.csr_array(gen) @ rho.reshape(-1))
     if residual > 1e-10:
         raise RuntimeError(f"steady-state residual {residual:.3e} exceeds 1e-10")
     eigs = np.linalg.eigvalsh(rho)
@@ -135,17 +131,17 @@ class DeflatedResolvent:
     them here).
     """
 
-    def __init__(self, gen: Generator, rho0: np.ndarray):
-        deflated = gen.matrix + np.outer(
+    def __init__(self, gen: np.ndarray, rho0: np.ndarray):
+        deflated = gen + np.outer(
             np.asarray(rho0, dtype=complex).reshape(-1), TRACE_VECTOR
         )
         self._setup(
-            sparse.csr_array(gen.matrix),
+            sparse.csr_array(gen),
             TRACE_VECTOR,
             np.arange(LIOUVILLE_DIM),
             [
                 (index, deflated[index[:, :, None], index[:, None, :]])
-                for index in _sectors(gen.matrix)
+                for index in _sectors(gen)
             ],
         )
 
@@ -290,12 +286,14 @@ def _batched_solve(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 class PerturbativeState:
     """Order-resolved stationary state of the coupled pair.
 
-    orders maps (m, n) to the coefficient of g^m conj(g)^n.  Order (0, 0)
-    is the product state of the uncoupled atoms; orders in
-    AVERAGING_DROPS are kept for completeness but carry distance phases
-    that average to zero.  The deflated resolvent of the free generator and
-    the exchange generators as CSR matrices, with which the orders were
-    computed, are kept for the spectral sweep.
+    orders maps (m, n) to the coefficient of g^m conj(g)^n, to order
+    (1, 1): (0, 0), (1, 0), (0, 1) and (1, 1).  Order (0, 0) is the product
+    state of the uncoupled atoms.  The orders (2, 0) and (0, 2) are not
+    formed: they carry a net distance phase exp(+-2 i k0 r) that averages
+    to zero over the configuration, and no intensity or spectrum reads
+    them.  The deflated resolvent of the free generator and the exchange
+    generators as CSR matrices, with which the orders were computed, are
+    kept for the spectral sweep.
     """
 
     orders: dict
@@ -308,14 +306,17 @@ class PerturbativeState:
 
 
 def perturbative_corrections(
-    free: Generator,
-    v_plus: Generator,
-    v_minus: Generator,
+    free: np.ndarray,
+    v_plus: sparse.csr_array,
+    v_minus: sparse.csr_array,
     rho0: np.ndarray,
 ) -> PerturbativeState:
-    """Expand the stationary state to combined second order in g, conj(g)."""
+    """Expand the stationary state in g, conj(g) to order (1, 1).
+
+    The orders (2, 0) and (0, 2) are left out: their distance phase
+    averages to zero and nothing reads them (see PerturbativeState).
+    """
     resolvent = DeflatedResolvent(free, rho0)
-    vp, vm = sparse.csr_array(v_plus.matrix), sparse.csr_array(v_minus.matrix)
 
     def push(v: sparse.csr_array, state: np.ndarray) -> np.ndarray:
         return -(v @ state.reshape(-1))
@@ -323,27 +324,18 @@ def perturbative_corrections(
     def solve(rhs: np.ndarray) -> np.ndarray:
         return resolvent.solve(0.0, rhs).reshape(HILBERT_DIM, HILBERT_DIM)
 
-    rho_10 = solve(push(vp, rho0))
-    rho_01 = solve(push(vm, rho0))
-    rho_11 = solve(push(vp, rho_01) + push(vm, rho_10))
-    rho_20 = solve(push(vp, rho_10))
-    rho_02 = solve(push(vm, rho_01))
+    rho_10 = solve(push(v_plus, rho0))
+    rho_01 = solve(push(v_minus, rho0))
+    rho_11 = solve(push(v_plus, rho_01) + push(v_minus, rho_10))
 
-    orders = {
-        (0, 0): rho0,
-        (1, 0): rho_10,
-        (0, 1): rho_01,
-        (1, 1): rho_11,
-        (2, 0): rho_20,
-        (0, 2): rho_02,
-    }
+    orders = {(0, 0): rho0, (1, 0): rho_10, (0, 1): rho_01, (1, 1): rho_11}
     for key, state in orders.items():
         if key == (0, 0):
             continue
         trace = abs(np.trace(state))
         if trace > 1e-12 * max(np.linalg.norm(state), 1e-300):
             raise RuntimeError(f"order {key} correction has trace {trace:.3e}")
-    return PerturbativeState(orders, resolvent, vp, vm)
+    return PerturbativeState(orders, resolvent, v_plus, v_minus)
 
 
 def build_expansion(params: PhysParams, cfg: Configuration) -> PerturbativeState:
@@ -483,7 +475,7 @@ def nonperturbative_intensity(
     Returns (ladder_total, crossed_total) in units of |g|^2.
     """
     free = free_generator(params, cfg.phi_L)
-    v_plus, v_minus = exchange_generators(cfg.n_hat, params.gamma)
+    v_plus, v_minus = (v.toarray() for v in exchange_generators(cfg.n_hat, params.gamma))
     proj_sum = (
         transition_operator(1, 2, "projector") + transition_operator(2, 2, "projector")
     ).reshape(-1)
@@ -496,9 +488,7 @@ def nonperturbative_intensity(
     cross_acc = 0.0 + 0.0j
     for k in range(n_phases):
         g = g_mag * np.exp(2j * np.pi * k / n_phases)
-        rho = _trace_row_solve(
-            free.matrix + g * v_plus.matrix + np.conj(g) * v_minus.matrix
-        )
+        rho = _trace_row_solve(free + g * v_plus + np.conj(g) * v_minus)
         ladder_acc += (proj_sum @ rho).real
         cross_acc += cross_vec @ rho
     ladder = ladder_acc / n_phases / g_mag**2

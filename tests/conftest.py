@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from cbs2.acceptance import AcceptanceSuite
+from cbs2.generators import HILBERT_DIM
 from cbs2.geometry import Configuration, PhysParams
 from cbs2.perturbation import build_expansion
+
+
+def apply(gen, rho):
+    """Apply a 256 x 256 generator (dense or sparse) to a 16 x 16 matrix."""
+    flat = np.asarray(rho, dtype=complex).reshape(-1)
+    return (gen @ flat).reshape(HILBERT_DIM, HILBERT_DIM)
 
 
 @pytest.fixture(scope="session")

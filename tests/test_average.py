@@ -35,6 +35,8 @@ def test_average_spec_validation():
     with pytest.raises(ValueError):
         AverageSpec(samples=0)
     with pytest.raises(ValueError):
+        AverageSpec(samples=1)  # no sample spread, so no standard error
+    with pytest.raises(ValueError):
         AverageSpec(width_frac=1.0)
     with pytest.raises(ValueError):
         AverageSpec(ell_k0=0.0)

@@ -224,6 +224,8 @@ def test_mc_average_bad_parameters(capsys):
     assert run(capsys, "mc-average", "--samples", "0")[0] == 1
     assert run(capsys, "mc-average", "--theta", "-1")[0] == 1
     assert run(capsys, "mc-average", "--width-frac", "1.5")[0] == 1
+    # one sample has no spread, so its standard error would be nan
+    assert run(capsys, "mc-average", "--samples", "1")[0] == 1
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ of the superoperators without trusting any of the library's own plumbing.
 
 import numpy as np
 import pytest
+from conftest import apply
 from scipy.linalg import expm
 
 from cbs2.generators import (
@@ -147,7 +148,7 @@ def test_free_generator_duality(gen_rng):
     for _ in range(100):
         q = random_matrix(gen_rng)
         rho = random_matrix(gen_rng)
-        lhs = np.trace(q @ gen.apply(rho))
+        lhs = np.trace(q @ apply(gen, rho))
         rhs = np.trace(heisenberg_free(q, params, phi) @ rho)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
@@ -162,8 +163,8 @@ def test_exchange_generator_duality(gen_rng):
         q = random_matrix(gen_rng)
         rho = random_matrix(gen_rng)
         h_plus, h_minus = heisenberg_exchange(q, tensor, gamma)
-        lhs_p = np.trace(q @ v_plus.apply(rho))
-        lhs_m = np.trace(q @ v_minus.apply(rho))
+        lhs_p = np.trace(q @ apply(v_plus, rho))
+        lhs_m = np.trace(q @ apply(v_minus, rho))
         assert abs(lhs_p - np.trace(h_plus @ rho)) < 1e-10 * max(1.0, abs(lhs_p))
         assert abs(lhs_m - np.trace(h_minus @ rho)) < 1e-10 * max(1.0, abs(lhs_m))
 
@@ -174,17 +175,17 @@ def test_trace_annihilation(gen_rng):
     gens.extend(exchange_generators(np.array([0.0, 1.0, 0.0])))
     for gen in gens:
         # functional form: trace vector is a left null vector
-        assert np.max(np.abs(TRACE_VECTOR @ gen.matrix)) < 1e-12
+        assert np.max(np.abs(TRACE_VECTOR @ gen)) < 1e-12
         # and on random Hermitian states
         for _ in range(100):
             rho = random_state(gen_rng)
-            assert abs(np.trace(gen.apply(rho))) < 1e-10
+            assert abs(np.trace(apply(gen, rho))) < 1e-10
 
 
 def test_free_generator_preserves_hermiticity(gen_rng):
     gen = free_generator(PhysParams(omega=1.0), phi_L=0.3)
     rho = random_state(gen_rng)
-    out = gen.apply(rho)
+    out = apply(gen, rho)
     assert np.allclose(out, out.conj().T, atol=1e-12)
 
 
@@ -193,7 +194,7 @@ def test_exchange_combination_preserves_hermiticity(gen_rng):
     rho = random_state(gen_rng)
     for _ in range(5):
         g = gen_rng.standard_normal() + 1j * gen_rng.standard_normal()
-        out = g * v_plus.apply(rho) + np.conj(g) * v_minus.apply(rho)
+        out = g * apply(v_plus, rho) + np.conj(g) * apply(v_minus, rho)
         assert np.allclose(out, out.conj().T, atol=1e-11)
 
 
@@ -201,9 +202,9 @@ def test_undriven_ground_state_is_stationary():
     gen = free_generator(PhysParams(omega=0.0))
     ground = np.zeros((HILBERT_DIM, HILBERT_DIM), dtype=complex)
     ground[0, 0] = 1.0
-    assert np.max(np.abs(gen.apply(ground))) < 1e-14
+    assert np.max(np.abs(apply(gen, ground))) < 1e-14
     # and it is the unique stationary state: nullspace dimension 1
-    svals = np.linalg.svd(gen.matrix, compute_uv=False)
+    svals = np.linalg.svd(gen, compute_uv=False)
     assert svals[-1] < 1e-12
     assert svals[-2] > 1e-6
 
@@ -216,14 +217,14 @@ def test_inverted_atom_decays_at_twice_gamma():
     rho0 = np.zeros((HILBERT_DIM, HILBERT_DIM), dtype=complex)
     rho0[idx, idx] = 1.0
     t = 0.7
-    rho_t = unvec(expm(gen.matrix * t) @ vec(rho0))
+    rho_t = unvec(expm(gen * t) @ vec(rho0))
     pop = np.real(np.trace(transition_operator(1, 4, "projector") @ rho_t))
     assert abs(pop - np.exp(-2.0 * params.gamma * t)) < 1e-10
 
 
 def test_driven_generator_spectrum():
     gen = free_generator(PhysParams(omega=1.0))
-    evals = np.linalg.eigvals(gen.matrix)
+    evals = np.linalg.eigvals(gen)
     order = np.argsort(np.abs(evals))
     assert abs(evals[order[0]]) < 1e-9
     assert np.max(evals[order[1:]].real) < -1e-6
@@ -233,7 +234,7 @@ def test_drive_does_not_populate_transverse_levels():
     gen = free_generator(PhysParams(omega=2.0, delta=0.5), phi_L=0.4)
     ground = np.zeros(LIOUVILLE_DIM, dtype=complex)
     ground[0] = 1.0
-    rho_t = unvec(expm(gen.matrix * 10.0) @ ground)
+    rho_t = unvec(expm(gen * 10.0) @ ground)
     for atom in (1, 2):
         for level in (2, 3):
             proj = transition_operator(atom, level, "projector")
@@ -246,8 +247,8 @@ def test_exchange_tensor_linearity(gen_rng):
     tensor = 0.5 * (tensor + tensor.T)
     vp1, vm1 = exchange_generators_from_tensor(tensor)
     vp2, vm2 = exchange_generators_from_tensor(2.0 * tensor)
-    assert np.allclose(vp2.matrix, 2.0 * vp1.matrix, atol=1e-12)
-    assert np.allclose(vm2.matrix, 2.0 * vm1.matrix, atol=1e-12)
+    assert np.allclose(vp2.toarray(), 2.0 * vp1.toarray(), atol=1e-12)
+    assert np.allclose(vm2.toarray(), 2.0 * vm1.toarray(), atol=1e-12)
 
 
 def kron_loop_exchange(tensor):
@@ -289,14 +290,14 @@ def random_complex_symmetric(seed):
 def test_exchange_generators_equal_kron_loop(tensor):
     v_plus, v_minus = exchange_generators_from_tensor(tensor)
     want_plus, want_minus = kron_loop_exchange(tensor)
-    assert np.array_equal(v_plus.matrix, want_plus)
-    assert np.array_equal(v_minus.matrix, want_minus)
+    assert np.array_equal(v_plus.toarray(), want_plus)
+    assert np.array_equal(v_minus.toarray(), want_minus)
 
 
 def test_exchange_nonzero_along_z():
     v_plus, v_minus = exchange_generators(np.array([0.0, 0.0, 1.0]))
-    assert np.linalg.norm(v_plus.matrix) > 0.1
-    assert np.linalg.norm(v_minus.matrix) > 0.1
+    assert np.linalg.norm(v_plus.toarray()) > 0.1
+    assert np.linalg.norm(v_minus.toarray()) > 0.1
 
 
 def test_state_trace_and_partial_trace(gen_rng):
@@ -346,7 +347,7 @@ def test_free_generator_equals_direct_construction():
             proj = transition_operator(atom, level, "projector")
             want += 2.0 * params.gamma * np.kron(lower, lower.conj())
             want -= params.gamma * (np.kron(proj, eye) + np.kron(eye, proj.T))
-    assert np.array_equal(free_generator(params, phi_L).matrix, want)
+    assert np.array_equal(free_generator(params, phi_L), want)
 
 
 def test_free_generator_reduces_to_single_atom(gen_rng):
@@ -357,6 +358,6 @@ def test_free_generator_reduces_to_single_atom(gen_rng):
     single = single_atom_free_matrix(params)
     a = random_matrix(gen_rng, 4)
     b = random_state(gen_rng, 4)
-    reduced = partial_trace(gen.apply(np.kron(a, b)), 1)
+    reduced = partial_trace(apply(gen, np.kron(a, b)), 1)
     want = (single @ a.reshape(-1)).reshape(4, 4)
     assert np.allclose(reduced, want, atol=1e-11)

@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg as la
+from conftest import apply
 from scipy import sparse
 
 from cbs2 import oracle
@@ -17,7 +18,6 @@ from cbs2.generators import (
     EXCITED_LEVELS,
     LIOUVILLE_DIM,
     TRACE_VECTOR,
-    Generator,
     exchange_generators,
     free_generator,
     transition_operator,
@@ -65,7 +65,7 @@ def test_resolvent_residual_and_large_z(free_and_rho0):
     src = random_traceless(rng)
     z = 1.0 - 1.0j
     x = resolvent_apply(free, rho0, z, src)
-    residual = z * x - free.apply(x) - src
+    residual = z * x - apply(free, x) - src
     assert np.max(np.abs(residual)) < 1e-10
     # far from the spectrum the resolvent approaches 1/z
     z_far = 1e6
@@ -79,7 +79,7 @@ def test_resolvent_deflation_covers_imaginary_axis(free_and_rho0):
     src = random_traceless(rng)
     for nu in (-5.0, -1.0, 0.0, 1.0, 5.0):
         x = resolvent_apply(free, rho0, -1j * nu, src)
-        residual = -1j * nu * x - free.apply(x) - src
+        residual = -1j * nu * x - apply(free, x) - src
         assert np.max(np.abs(residual)) < 1e-10
 
 
@@ -122,7 +122,7 @@ def test_resolvent_matches_undeflated_solve(free_at_omega, nu):
     for z_f, x_f in zip(np.atleast_1d(z), x.reshape(-1, *block.shape)):
         for col in x_f.T:
             assert abs(TRACE_VECTOR @ col) < 1e-12 * np.linalg.norm(col)
-        want = la.solve(free.matrix - z_f * np.eye(LIOUVILLE_DIM), block)
+        want = la.solve(free - z_f * np.eye(LIOUVILLE_DIM), block)
         assert np.linalg.norm(x_f - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -130,7 +130,7 @@ def test_resolvent_matches_undeflated_solve(free_at_omega, nu):
 def test_resolvent_pole_for_singular_deflation():
     # the all-zero generator leaves 240 one-dimensional zero sectors: a
     # typed error, and no warning on the way
-    null = Generator(np.zeros((LIOUVILLE_DIM, LIOUVILLE_DIM), dtype=complex))
+    null = np.zeros((LIOUVILLE_DIM, LIOUVILLE_DIM), dtype=complex)
     rho0 = np.eye(16, dtype=complex) / 16.0
     src = random_traceless(np.random.default_rng(9))
     with pytest.raises(ResolventPoleError):
@@ -139,7 +139,7 @@ def test_resolvent_pole_for_singular_deflation():
 
 def test_resolvent_pole_names_the_failing_shift():
     # only the shift at 0 is a pole of the all-zero generator
-    null = Generator(np.zeros((LIOUVILLE_DIM, LIOUVILLE_DIM), dtype=complex))
+    null = np.zeros((LIOUVILLE_DIM, LIOUVILLE_DIM), dtype=complex)
     rho0 = np.eye(16, dtype=complex) / 16.0
     src = random_traceless(np.random.default_rng(10)).reshape(-1)
     with pytest.raises(ResolventPoleError, match=r"z = 0j"):
@@ -152,7 +152,7 @@ def test_resolvent_leaves_unreached_sectors_at_zero(free_and_rho0):
     # column 1 on two other coherence sectors; X matches the dense solve
     # and is exactly 0 everywhere else
     free, rho0 = free_and_rho0
-    sectors = _sectors(free.matrix)
+    sectors = _sectors(free)
     groups = {index.shape[1]: index for index in sectors}
     populations = next(index for group in sectors for index in group if index[0] == 0)
     columns = (
@@ -170,7 +170,7 @@ def test_resolvent_leaves_unreached_sectors_at_zero(free_and_rho0):
     unreached = np.setdiff1d(np.arange(LIOUVILLE_DIM), reached)
     assert np.all(x[:, unreached, :] == 0)
     for nu_f, x_f in zip(nu, x):
-        want = la.solve(free.matrix + 1j * nu_f * np.eye(LIOUVILLE_DIM), block)
+        want = la.solve(free + 1j * nu_f * np.eye(LIOUVILLE_DIM), block)
         assert np.linalg.norm(x_f - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -180,11 +180,11 @@ def test_resolvent_pole_only_in_reached_sectors(free_and_rho0):
     # leaves twelve singular 1 x 1 blocks at z = 0: a right-hand side that
     # reaches them raises, one that does not is solved as before
     free, rho0 = free_and_rho0
-    dead = next(index for index in _sectors(free.matrix) if index.shape[1] == 12)[0]
-    matrix = free.matrix.copy()
+    dead = next(index for index in _sectors(free) if index.shape[1] == 12)[0]
+    matrix = free.copy()
     matrix[dead, :] = 0.0
     matrix[:, dead] = 0.0
-    resolvent = DeflatedResolvent(Generator(matrix), rho0)
+    resolvent = DeflatedResolvent(matrix, rho0)
     src = random_traceless(np.random.default_rng(12)).reshape(-1)
     with pytest.raises(ResolventPoleError):
         resolvent.solve(0.0, src)
@@ -279,10 +279,10 @@ def test_pair_transforms_match_dense_full_chain(omega, delta):
     params = PhysParams(omega=omega, delta=delta)
     engine = SpectrumEngine(params, cfg)
     pert = engine.pert
-    deflated = free_generator(params, cfg.phi_L).matrix + np.outer(
+    deflated = free_generator(params, cfg.phi_L) + np.outer(
         pert[(0, 0)].reshape(-1), TRACE_VECTOR
     )
-    v_plus, v_minus = (v.matrix for v in exchange_generators(cfg.n_hat, params.gamma))
+    v_plus, v_minus = (v.toarray() for v in exchange_generators(cfg.n_hat, params.gamma))
     nu = np.array([0.0, 0.7, -0.7, omega, -omega])
     want = np.empty((nu.size, 2, 2), dtype=complex)
     for f, nu_f in enumerate(nu):
@@ -376,7 +376,7 @@ def test_engine_reads_the_sector_closure_of_the_functionals(orientation):
     support = np.flatnonzero(np.any(
         [transition_operator(b, 2, "lowering").T.reshape(-1) != 0 for b in (1, 2)], axis=0
     ))
-    matrix = free_generator(params).matrix
+    matrix = free_generator(params)
     assert np.array_equal(engine._read.rows, sector_closure(matrix, support))
     # for the driven pair: two 12-dimensional sectors; stage 1 adds the
     # 36-dimensional population sector
@@ -390,7 +390,7 @@ def test_restricted_resolvent_equals_full_solve_on_kept_sectors(free_and_rho0):
     # sector: the restricted solve gives the kept entries of the full one
     free, rho0 = free_and_rho0
     full = DeflatedResolvent(free, rho0)
-    sectors = _sectors(free.matrix)
+    sectors = _sectors(free)
     populations = next(index for group in sectors for index in group if index[0] == 0)
     coherences = next(group for group in sectors if group.shape[1] == 12)[3]
     rows = np.concatenate([populations, coherences])
@@ -420,12 +420,12 @@ def test_restricted_resolvent_pole_in_kept_sector(free_and_rho0):
     # singular 1 x 1 sectors at z = 0: a resolvent restricted to one of
     # them and a live sector raises there, and solves off the pole
     free, rho0 = free_and_rho0
-    group = next(index for index in _sectors(free.matrix) if index.shape[1] == 12)
+    group = next(index for index in _sectors(free) if index.shape[1] == 12)
     dead, live = group[0], group[1]
-    matrix = free.matrix.copy()
+    matrix = free.copy()
     matrix[dead, :] = 0.0
     matrix[:, dead] = 0.0
-    restricted = DeflatedResolvent(Generator(matrix), rho0).restricted([dead[0], live[0]])
+    restricted = DeflatedResolvent(matrix, rho0).restricted([dead[0], live[0]])
     src = random_traceless(np.random.default_rng(17)).reshape(-1)[restricted.rows]
     with pytest.raises(ResolventPoleError):
         restricted.solve(0.0, src)
