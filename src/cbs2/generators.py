@@ -61,11 +61,13 @@ def _embed(op4: np.ndarray, atom: int) -> np.ndarray:
     raise ValueError("atom must be 1 or 2")
 
 
+@functools.cache
 def transition_operator(atom: int, level: int, kind: str) -> np.ndarray:
     """Embedded single-atom operator for one excited level.
 
     kind: 'lowering' gives s_1e, 'raising' gives s_e1, 'projector' gives
     s_ee, each acting on the requested atom and trivially on the other.
+    The result is cached and read-only.
     """
     if level not in EXCITED_LEVELS:
         raise ValueError(f"level must be one of {EXCITED_LEVELS}, got {level}")
@@ -77,7 +79,13 @@ def transition_operator(atom: int, level: int, kind: str) -> np.ndarray:
         op = _unit_matrix(level, level)
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
-    return _embed(op, atom)
+    return _read_only(_embed(op, atom))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """Mark an array that a cache hands to every caller as read-only."""
+    array.flags.writeable = False
+    return array
 
 
 def dipole_components(atom: int) -> np.ndarray:
@@ -123,8 +131,23 @@ def _atom_generator(gamma: float, delta: float, drive: complex) -> np.ndarray:
     return mat
 
 
-#: Row-major two-atom index (i1 i2, j1 j2) -> Kronecker-sum index (i1 j1, i2 j2).
-_PAIR_FROM_ATOMS = np.arange(LIOUVILLE_DIM).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(-1)
+@functools.cache
+def _kron_sum_targets() -> tuple[np.ndarray, ...]:
+    """Where the entries of the two 16 x 16 atom generators land in the
+    Kronecker sum kron(A1, 1) + kron(1, A2), brought to the row-major
+    two-atom index order: flat targets and flat sources into A1, then the
+    same for A2.  The targets of each atom are distinct."""
+    # row-major two-atom index (i1 i2, j1 j2) -> Kronecker-sum index (i1 j1, i2 j2)
+    pair = np.arange(LIOUVILLE_DIM).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(-1)
+    # entry k of an atom generator, labelled k + 1 so that 0 marks no entry
+    labels = np.arange(1, LIOUVILLE_DIM + 1).reshape(HILBERT_DIM, HILBERT_DIM)
+    eye = np.eye(HILBERT_DIM, dtype=int)
+    out = []
+    for placed in (np.kron(labels, eye), np.kron(eye, labels)):
+        placed = placed[np.ix_(pair, pair)].reshape(-1)
+        targets = np.flatnonzero(placed)
+        out += [targets, placed[targets] - 1]
+    return tuple(_read_only(a) for a in out)
 
 
 def free_generator(params: PhysParams, phi_L: float = 0.0) -> np.ndarray:
@@ -137,17 +160,25 @@ def free_generator(params: PhysParams, phi_L: float = 0.0) -> np.ndarray:
     brought to the row-major two-atom index order.
     """
     gamma, delta, omega = params.gamma, params.delta, params.omega
-    eye = np.eye(HILBERT_DIM, dtype=complex)
     atom_1 = _atom_generator(gamma, delta, omega + 0j)
     atom_2 = _atom_generator(gamma, delta, omega * np.exp(1j * phi_L))
-    mat = np.kron(atom_1, eye) + np.kron(eye, atom_2)
-    return mat[np.ix_(_PAIR_FROM_ATOMS, _PAIR_FROM_ATOMS)]
+    targets_1, sources_1, targets_2, sources_2 = _kron_sum_targets()
+    mat = np.zeros(LIOUVILLE_DIM * LIOUVILLE_DIM, dtype=complex)
+    # adding to zeros, so the entries both atoms reach get A1 + A2
+    mat[targets_1] += atom_1.reshape(-1)[sources_1]
+    mat[targets_2] += atom_2.reshape(-1)[sources_2]
+    return mat.reshape(LIOUVILLE_DIM, LIOUVILLE_DIM)
 
 
 @functools.cache
-def _exchange_basis() -> tuple[sparse.csr_array, sparse.csr_array]:
-    """V_plus and V_minus of the nine unit tensors e_i e_j^T, flattened
-    into row 3 i + j of one sparse 9 x 65536 matrix each."""
+def _exchange_basis() -> tuple[tuple[sparse.csr_array, np.ndarray, np.ndarray], ...]:
+    """V_plus and V_minus of the nine unit tensors e_i e_j^T.
+
+    For each generator: the sparse 9 x m matrix whose row 3 i + j holds
+    the entries of the generator of e_i e_j^T on the m flat positions
+    (row-major, sorted) that any of the nine reaches, and the CSR indices
+    and indptr of those positions.  All arrays are read-only.
+    """
     dips = {1: dipole_components(1), 2: dipole_components(2)}
     eye = sparse.eye_array(HILBERT_DIM, dtype=complex)
     rows_plus, rows_minus = [], []
@@ -167,7 +198,17 @@ def _exchange_basis() -> tuple[sparse.csr_array, sparse.csr_array]:
                 )
             rows_plus.append(sparse.coo_array(v_plus).reshape((1, -1)))
             rows_minus.append(sparse.coo_array(v_minus).reshape((1, -1)))
-    return sparse.vstack(rows_plus, format="csr"), sparse.vstack(rows_minus, format="csr")
+    out = []
+    for rows in (rows_plus, rows_minus):
+        basis = sparse.vstack(rows, format="csr")
+        flat = np.unique(basis.indices)
+        basis = basis[:, flat]
+        indices = (flat % LIOUVILLE_DIM).astype(np.int32)
+        indptr = np.searchsorted(flat // LIOUVILLE_DIM, np.arange(LIOUVILLE_DIM + 1))
+        for a in (basis.data, basis.indices, basis.indptr):
+            _read_only(a)
+        out.append((basis, _read_only(indices), _read_only(indptr.astype(np.int32))))
+    return tuple(out)
 
 
 def exchange_generators_from_tensor(
@@ -183,10 +224,16 @@ def exchange_generators_from_tensor(
     t = np.asarray(tensor, dtype=complex)
     if t.shape != (3, 3):
         raise ValueError("tensor must be 3 x 3")
-    shape = (LIOUVILLE_DIM, LIOUVILLE_DIM)
-    return tuple(
-        sparse.csr_array((t.reshape(-1) @ basis).reshape(shape)) for basis in _exchange_basis()
-    )
+    out = []
+    for basis, indices, indptr in _exchange_basis():
+        # own index arrays: eliminate_zeros compacts them in place
+        v = sparse.csr_array(
+            (t.reshape(-1) @ basis, indices.copy(), indptr.copy()),
+            shape=(LIOUVILLE_DIM, LIOUVILLE_DIM),
+        )
+        v.eliminate_zeros()
+        out.append(v)
+    return tuple(out)
 
 
 def exchange_generators(

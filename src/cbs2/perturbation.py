@@ -14,7 +14,9 @@ the same deflated resolvent serves the spectral sweep at z = -i nu.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as la
@@ -36,24 +38,66 @@ class DegeneracyError(RuntimeError):
     """The free generator has more than one stationary direction."""
 
 
-def _sectors(matrix: np.ndarray) -> list[np.ndarray]:
+class _Pattern(NamedTuple):
+    """Structure of a generator that depends only on its nonzero pattern.
+
+    sectors: the _sectors split; flat: the flat positions of the nonzero
+    entries in row-major order; indices, indptr: the CSR structure of
+    those entries.  All arrays are read-only.
+    """
+
+    sectors: tuple
+    flat: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def _pattern(matrix: np.ndarray) -> _Pattern:
+    """The cached _Pattern of a 256 x 256 matrix."""
+    pattern = matrix != 0
+    if pattern.shape != (LIOUVILLE_DIM, LIOUVILLE_DIM):
+        raise ValueError(
+            f"generator must be {LIOUVILLE_DIM} x {LIOUVILLE_DIM}, got shape {pattern.shape}"
+        )
+    return _pattern_of(np.packbits(pattern).tobytes())
+
+
+# a few patterns recur (drive, detuning zero or not); the bound keeps
+# arbitrary input matrices from growing the cache for the life of the process
+@functools.lru_cache(maxsize=32)
+def _pattern_of(packed: bytes) -> _Pattern:
+    size = LIOUVILLE_DIM * LIOUVILLE_DIM
+    pattern = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=size).astype(bool)
+    pattern = pattern.reshape(LIOUVILLE_DIM, LIOUVILLE_DIM)
+    flat = np.flatnonzero(pattern)
+    indices = (flat % LIOUVILLE_DIM).astype(np.int32)
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(pattern, axis=1))))
+
+    pattern[0] |= TRACE_VECTOR != 0
+    # directed=False joins i and j when entry (i, j) or (j, i) is nonzero
+    _, labels = connected_components(pattern, directed=False)
+    sizes = np.bincount(labels)
+    sectors = tuple(
+        np.stack([np.flatnonzero(labels == c) for c in np.flatnonzero(sizes == size)])
+        for size in np.unique(sizes)
+    )
+    out = _Pattern(sectors, flat, indices, indptr.astype(np.int32))
+    for array in (*sectors, *out[1:]):
+        array.flags.writeable = False
+    return out
+
+
+def _sectors(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
     """Index sets of the sectors of a generator that never couple.
 
     A sector is a connected component of the nonzero pattern of the
     matrix, with the trace row joined to index 0, so that all populations
     share the sector of index 0; the stationary state, the trace-row solve
     and the deflation |rho0><trace| all lie inside it.  Returns one
-    (count, dim) array of sorted indices per sector size.
+    (count, dim) array of sorted indices per sector size, cached on the
+    pattern and read-only.
     """
-    pattern = matrix != 0
-    pattern[0] |= TRACE_VECTOR != 0
-    # directed=False joins i and j when entry (i, j) or (j, i) is nonzero
-    _, labels = connected_components(pattern, directed=False)
-    sizes = np.bincount(labels)
-    return [
-        np.stack([np.flatnonzero(labels == c) for c in np.flatnonzero(sizes == size)])
-        for size in np.unique(sizes)
-    ]
+    return _pattern(matrix).sectors
 
 
 def _trace_row_solve(matrix: np.ndarray, trace: np.ndarray = TRACE_VECTOR) -> np.ndarray:
@@ -96,7 +140,7 @@ def zeroth_steady_state(gen: np.ndarray) -> np.ndarray:
     rho = rho.reshape(HILBERT_DIM, HILBERT_DIM)
     rho = 0.5 * (rho + rho.conj().T)
 
-    residual = np.linalg.norm(sparse.csr_array(gen) @ rho.reshape(-1))
+    residual = np.linalg.norm(gen @ rho.reshape(-1))
     if residual > 1e-10:
         raise RuntimeError(f"steady-state residual {residual:.3e} exceeds 1e-10")
     eigs = np.linalg.eigvalsh(rho)
@@ -135,13 +179,20 @@ class DeflatedResolvent:
         deflated = gen + np.outer(
             np.asarray(rho0, dtype=complex).reshape(-1), TRACE_VECTOR
         )
+        structure = _pattern(gen)
+        # sparse.csr_array(gen), with its own index arrays so that nothing
+        # done to the matrix can change the cache
+        matrix = sparse.csr_array(
+            (np.take(gen, structure.flat), structure.indices.copy(), structure.indptr.copy()),
+            shape=gen.shape,
+        )
         self._setup(
-            sparse.csr_array(gen),
+            matrix,
             TRACE_VECTOR,
             np.arange(LIOUVILLE_DIM),
             [
                 (index, deflated[index[:, :, None], index[:, None, :]])
-                for index in _sectors(gen)
+                for index in structure.sectors
             ],
         )
 

@@ -9,6 +9,7 @@ of the superoperators without trusting any of the library's own plumbing.
 import numpy as np
 import pytest
 from conftest import apply
+from scipy import sparse
 from scipy.linalg import expm
 
 from cbs2.generators import (
@@ -17,6 +18,9 @@ from cbs2.generators import (
     HILBERT_DIM,
     LIOUVILLE_DIM,
     TRACE_VECTOR,
+    _atom_generator,
+    _exchange_basis,
+    _kron_sum_targets,
     dipole_components,
     exchange_generators,
     exchange_generators_from_tensor,
@@ -294,6 +298,42 @@ def test_exchange_generators_equal_kron_loop(tensor):
     assert np.array_equal(v_minus.toarray(), want_minus)
 
 
+def test_exchange_generators_equal_dense_csr():
+    # the x axis comes first: its tensor has zero entries, so exact zeros
+    # are dropped from the cached pattern, which compacts the index arrays
+    # of that result in place; the generic orientation after it, in the
+    # same process, must still get the full cached pattern
+    generic = np.array([0.48, -0.6, 0.64])
+    for n_hat in (np.array([1.0, 0.0, 0.0]), generic, np.array([1.0, 0.0, 0.0])):
+        tensor = 0.7 * transverse_projector(n_hat)
+        got = exchange_generators(n_hat, gamma=0.7)
+        for v, dense in zip(got, kron_loop_exchange(tensor)):
+            want = sparse.csr_array(dense)
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(v, name), getattr(want, name)
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+
+
+def test_cached_generator_structure_is_read_only():
+    basis = [
+        array
+        for matrix, indices, indptr in _exchange_basis()
+        for array in (matrix.data, matrix.indices, matrix.indptr, indices, indptr)
+    ]
+    cached = [
+        transition_operator(atom, level, kind)
+        for atom in (1, 2)
+        for level in EXCITED_LEVELS
+        for kind in ("lowering", "raising", "projector")
+    ] + list(_kron_sum_targets()) + basis
+    for array in cached:
+        assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        transition_operator(1, 2, "lowering")[0, 0] = 1.0
+    assert transition_operator(1, 2, "lowering")[0, 0] == 0.0
+
+
 def test_exchange_nonzero_along_z():
     v_plus, v_minus = exchange_generators(np.array([0.0, 0.0, 1.0]))
     assert np.linalg.norm(v_plus.toarray()) > 0.1
@@ -348,6 +388,24 @@ def test_free_generator_equals_direct_construction():
             want += 2.0 * params.gamma * np.kron(lower, lower.conj())
             want -= params.gamma * (np.kron(proj, eye) + np.kron(eye, proj.T))
     assert np.array_equal(free_generator(params, phi_L), want)
+
+
+@pytest.mark.parametrize(
+    "omega, delta, phi_L",
+    [(0.0, 0.0, 0.0), (0.0, -1.5, 0.7), (1.0, 0.0, 0.0), (0.3, 2.5, 1.7), (100.0, -3.0, 2.5)],
+)
+def test_free_generator_equals_kron_sum_reference(omega, delta, phi_L):
+    # bitwise, signs of zeros included: the scatter into the cached
+    # targets against the dense Kronecker sum permuted with np.ix_
+    params = PhysParams(omega=omega, delta=delta)
+    eye = np.eye(HILBERT_DIM, dtype=complex)
+    atom_1 = _atom_generator(params.gamma, delta, omega + 0j)
+    atom_2 = _atom_generator(params.gamma, delta, omega * np.exp(1j * phi_L))
+    pair = np.arange(LIOUVILLE_DIM).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(-1)
+    want = (np.kron(atom_1, eye) + np.kron(eye, atom_2))[np.ix_(pair, pair)]
+    got = free_generator(params, phi_L)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_free_generator_reduces_to_single_atom(gen_rng):

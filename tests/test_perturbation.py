@@ -268,6 +268,20 @@ def test_numeric_enhancement_at_strong_drive(omega):
     assert got == pytest.approx(oracle.enhancement_factor(params.saturation), rel=1e-8)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=RuntimeError,
+    reason="from omega = 3e4 the 1e-12 relative trace check of perturbative_corrections "
+    "refuses every drive phase but 0 (see ROADMAP aim 3)",
+)
+def test_numeric_enhancement_at_strong_drive_with_drive_phase():
+    # the enhancement does not depend on phi_L; at phi_L = 0 the same
+    # drive matches the oracle (test_numeric_enhancement_at_strong_drive)
+    params = PhysParams(omega=1e5)
+    got = numeric_enhancement(params, Configuration(phi_L=2.5))
+    assert got == pytest.approx(oracle.enhancement_factor(params.saturation), rel=1e-8)
+
+
 def test_intensity_terms_reject_non_hermitian_order(expansion_s1):
     rho_11 = expansion_s1[(1, 1)]
     skewed = rho_11 + 1e-6 * np.linalg.norm(rho_11) * 1j * np.eye(HILBERT_DIM)

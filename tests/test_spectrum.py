@@ -12,6 +12,7 @@ import pytest
 import scipy.linalg as la
 from conftest import apply
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from cbs2 import oracle
 from cbs2.generators import (
@@ -194,6 +195,60 @@ def test_resolvent_pole_only_in_reached_sectors(free_and_rho0):
     assert np.all(x[dead] == 0)
     want = DeflatedResolvent(free, rho0).solve(0.0, live)
     assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def connected_sectors(matrix):
+    """The sectors of _sectors as a set of index tuples, straight from
+    connected_components on the pattern with the trace row joined."""
+    pattern = matrix != 0
+    pattern[0] |= TRACE_VECTOR != 0
+    _, labels = connected_components(pattern, directed=False)
+    return {tuple(np.flatnonzero(labels == c)) for c in np.unique(labels)}
+
+
+def random_pattern_matrix(seed):
+    rng = np.random.default_rng(seed)
+    matrix = np.zeros((LIOUVILLE_DIM, LIOUVILLE_DIM), dtype=complex)
+    hit = rng.random(matrix.shape) < 2e-3
+    matrix[hit] = rng.standard_normal(hit.sum()) + 1j * rng.standard_normal(hit.sum())
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "omega, delta, phi_L",
+    [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (1.0, 0.0, 2.5), (1.0, 3.0, 0.4), (100.0, -2.0, 5.0)],
+)
+def test_cached_sectors_equal_connected_components(omega, delta, phi_L):
+    gen = free_generator(PhysParams(omega=omega, delta=delta), phi_L)
+    for matrix in (gen, random_pattern_matrix(13), gen):
+        sectors = _sectors(matrix)
+        split = {tuple(index) for group in sectors for index in group}
+        assert split == connected_sectors(matrix)
+        # one (count, dim) group per sector size, in increasing size
+        dims = [group.shape[1] for group in sectors]
+        assert dims == sorted(set(dims))
+        assert sum(group.size for group in sectors) == LIOUVILLE_DIM
+        for group in sectors:
+            assert not group.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        _sectors(gen)[0][0, 0] = 1
+
+
+def test_resolvent_matrix_equals_dense_csr(free_and_rho0):
+    # the CSR of L is filled on the structure cached for its pattern; a
+    # change to one resolvent's CSR (eliminate_zeros compacts its index
+    # arrays in place) must not reach the next resolvent on that pattern
+    free, rho0 = free_and_rho0
+    for gen in (free, random_pattern_matrix(14)):
+        first = DeflatedResolvent(gen, rho0)._matrix
+        first.data[::2] = 0.0
+        first.eliminate_zeros()
+        got = DeflatedResolvent(gen, rho0)._matrix
+        want = sparse.csr_array(gen)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
 
 
 @pytest.fixture(scope="module")
