@@ -11,7 +11,11 @@ with s_kl = |k><l| and e_q the helicity unit vectors.
 Operator-space conventions: two-atom operators live on the 16-dimensional
 product space with the atom-1 index outermost (kron(A1, A2)).  Density
 matrices are vectorized row-major, so a superoperator acting as
-rho -> A rho B has matrix kron(A, B.T).  The free generator is a dense
+rho -> A rho B has matrix kron(A, B.T); spre, spost and sandwich build
+such superoperators as scipy sparse arrays.
+
+Both generators are linear in their parameters and are filled from bases
+built once from spre, spost and sandwich.  The free generator is a dense
 complex 256 x 256 array, because its consumers (sector blocks, the
 steady-state solve, the dense reference) are dense; the exchange
 generators are scipy CSR arrays, because they only act on vectors.  The
@@ -100,54 +104,61 @@ def dipole_components(atom: int) -> np.ndarray:
     return comps
 
 
-def spre(op: np.ndarray) -> np.ndarray:
+def spre(op: np.ndarray) -> sparse.coo_array:
     """Superoperator for left multiplication, rho -> op rho."""
-    return np.kron(op, np.eye(op.shape[0], dtype=complex))
+    return sparse.kron(op, sparse.eye_array(op.shape[0], dtype=complex), format="coo")
 
 
-def spost(op: np.ndarray) -> np.ndarray:
+def spost(op: np.ndarray) -> sparse.coo_array:
     """Superoperator for right multiplication, rho -> rho op."""
-    return np.kron(np.eye(op.shape[0], dtype=complex), op.T)
+    return sparse.kron(sparse.eye_array(op.shape[0], dtype=complex), op.T, format="coo")
 
 
-def sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def sandwich(left: np.ndarray, right: np.ndarray) -> sparse.coo_array:
     """Superoperator for rho -> left rho right."""
-    return np.kron(left, right.T)
+    return sparse.kron(left, right.T, format="coo")
 
 
-def _atom_generator(gamma: float, delta: float, drive: complex) -> np.ndarray:
-    """16 x 16 generator of one driven atom on its own 4 x 4 states."""
-    ham = np.zeros((4, 4), dtype=complex)
-    for level in EXCITED_LEVELS:
-        ham += delta * _unit_matrix(level, level)
-    raise_op = _unit_matrix(4, GROUND)
-    ham -= 0.5 * (drive * raise_op + np.conj(drive) * raise_op.conj().T)
-    mat = 1j * (spre(ham) - spost(ham))
-    for level in EXCITED_LEVELS:
-        lower = _unit_matrix(GROUND, level)
-        proj = _unit_matrix(level, level)
-        mat += 2.0 * gamma * sandwich(lower, lower.conj().T)
-        mat -= gamma * (spre(proj) + spost(proj))
-    return mat
+def _linear_basis(generators) -> tuple[sparse.csr_array, np.ndarray]:
+    """The k x m CSR matrix whose row r holds the entries of generator r
+    on the m flat positions (row-major, sorted) that any of the k
+    generators reaches, and those positions.  All arrays are read-only."""
+    basis = sparse.vstack(
+        [sparse.coo_array(g).reshape((1, -1)) for g in generators], format="csr"
+    )
+    flat = np.unique(basis.indices)
+    basis = basis[:, flat]
+    for a in (basis.data, basis.indices, basis.indptr):
+        _read_only(a)
+    return basis, _read_only(flat)
+
+
+def csr_structure(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int32 CSR indices and indptr of a 256 x 256 matrix whose
+    stored entries sit at the sorted flat row-major positions flat."""
+    indices = (flat % LIOUVILLE_DIM).astype(np.int32)
+    indptr = np.searchsorted(flat // LIOUVILLE_DIM, np.arange(LIOUVILLE_DIM + 1))
+    return _read_only(indices), _read_only(indptr.astype(np.int32))
 
 
 @functools.cache
-def _kron_sum_targets() -> tuple[np.ndarray, ...]:
-    """Where the entries of the two 16 x 16 atom generators land in the
-    Kronecker sum kron(A1, 1) + kron(1, A2), brought to the row-major
-    two-atom index order: flat targets and flat sources into A1, then the
-    same for A2.  The targets of each atom are distinct."""
-    # row-major two-atom index (i1 i2, j1 j2) -> Kronecker-sum index (i1 j1, i2 j2)
-    pair = np.arange(LIOUVILLE_DIM).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(-1)
-    # entry k of an atom generator, labelled k + 1 so that 0 marks no entry
-    labels = np.arange(1, LIOUVILLE_DIM + 1).reshape(HILBERT_DIM, HILBERT_DIM)
-    eye = np.eye(HILBERT_DIM, dtype=int)
-    out = []
-    for placed in (np.kron(labels, eye), np.kron(eye, labels)):
-        placed = placed[np.ix_(pair, pair)].reshape(-1)
-        targets = np.flatnonzero(placed)
-        out += [targets, placed[targets] - 1]
-    return tuple(_read_only(a) for a in out)
+def _free_basis() -> tuple[sparse.csr_array, np.ndarray]:
+    """_linear_basis of the parts of the free generator that multiply
+    gamma, delta, d_1, conj(d_1), d_2 and conj(d_2), where d_a is the
+    complex drive of atom a."""
+    pairs = [(atom, level) for atom in (1, 2) for level in EXCITED_LEVELS]
+    # H holds delta times the number of excited atoms
+    excited = sum(transition_operator(*pair, "projector") for pair in pairs)
+    pre, post = spre(excited), spost(excited)
+    lowering = [transition_operator(*pair, "lowering") for pair in pairs]
+    decay = 2.0 * sum(sandwich(op, op.conj().T) for op in lowering) - pre - post
+    detuning = 1j * (pre - post)
+    # H holds -(d s_41 + conj(d) s_14) / 2, and L = i (spre(H) - spost(H))
+    drives = [
+        -0.5j * (spre(op) - spost(op))
+        for op in (transition_operator(a, 4, k) for a in (1, 2) for k in ("raising", "lowering"))
+    ]
+    return _linear_basis([decay, detuning, *drives])
 
 
 def free_generator(params: PhysParams, phi_L: float = 0.0) -> np.ndarray:
@@ -155,18 +166,19 @@ def free_generator(params: PhysParams, phi_L: float = 0.0) -> np.ndarray:
 
     Atom 1 is driven with Rabi frequency omega, atom 2 with the extra
     accumulated laser phase phi_L.  Each excited level decays to the
-    ground state at rate 2*gamma.  The atoms do not interact, so the
-    generator is the Kronecker sum of the two single-atom generators,
-    brought to the row-major two-atom index order.
+    ground state at rate 2*gamma.  The generator is linear in gamma,
+    delta and the two complex drives and their conjugates, and is filled
+    from the cached basis of those parts.
     """
-    gamma, delta, omega = params.gamma, params.delta, params.omega
-    atom_1 = _atom_generator(gamma, delta, omega + 0j)
-    atom_2 = _atom_generator(gamma, delta, omega * np.exp(1j * phi_L))
-    targets_1, sources_1, targets_2, sources_2 = _kron_sum_targets()
+    basis, flat = _free_basis()
+    drive_1 = params.omega + 0j
+    drive_2 = params.omega * np.exp(1j * phi_L)
+    coeffs = np.array(
+        [params.gamma, params.delta, drive_1, np.conj(drive_1), drive_2, np.conj(drive_2)],
+        dtype=complex,
+    )
     mat = np.zeros(LIOUVILLE_DIM * LIOUVILLE_DIM, dtype=complex)
-    # adding to zeros, so the entries both atoms reach get A1 + A2
-    mat[targets_1] += atom_1.reshape(-1)[sources_1]
-    mat[targets_2] += atom_2.reshape(-1)[sources_2]
+    mat[flat] = coeffs @ basis
     return mat.reshape(LIOUVILLE_DIM, LIOUVILLE_DIM)
 
 
@@ -174,13 +186,11 @@ def free_generator(params: PhysParams, phi_L: float = 0.0) -> np.ndarray:
 def _exchange_basis() -> tuple[tuple[sparse.csr_array, np.ndarray, np.ndarray], ...]:
     """V_plus and V_minus of the nine unit tensors e_i e_j^T.
 
-    For each generator: the sparse 9 x m matrix whose row 3 i + j holds
-    the entries of the generator of e_i e_j^T on the m flat positions
-    (row-major, sorted) that any of the nine reaches, and the CSR indices
-    and indptr of those positions.  All arrays are read-only.
+    For each generator: the _linear_basis of the nine, row 3 i + j for
+    e_i e_j^T, and the CSR indices and indptr of its flat positions.  All
+    arrays are read-only.
     """
     dips = {1: dipole_components(1), 2: dipole_components(2)}
-    eye = sparse.eye_array(HILBERT_DIM, dtype=complex)
     rows_plus, rows_minus = [], []
     for i in range(3):
         for j in range(3):
@@ -188,26 +198,15 @@ def _exchange_basis() -> tuple[tuple[sparse.csr_array, np.ndarray, np.ndarray], 
             for alpha, beta in ((1, 2), (2, 1)):
                 d_a, d_b = dips[alpha], dips[beta]
                 dag_ai = d_a[i].conj().T
-                # sandwich(left, right) = kron(left, right.T)
-                v_plus = v_plus + (
-                    sparse.kron(d_b[j], dag_ai.T) - sparse.kron(eye, (dag_ai @ d_b[j]).T)
-                )
-                v_minus = v_minus + (
-                    sparse.kron(d_a[j], d_b[i].conj())
-                    - sparse.kron(d_b[i].conj().T @ d_a[j], eye)
-                )
-            rows_plus.append(sparse.coo_array(v_plus).reshape((1, -1)))
-            rows_minus.append(sparse.coo_array(v_minus).reshape((1, -1)))
+                dag_bi = d_b[i].conj().T
+                v_plus = v_plus + (sandwich(d_b[j], dag_ai) - spost(dag_ai @ d_b[j]))
+                v_minus = v_minus + (sandwich(d_a[j], dag_bi) - spre(dag_bi @ d_a[j]))
+            rows_plus.append(v_plus)
+            rows_minus.append(v_minus)
     out = []
     for rows in (rows_plus, rows_minus):
-        basis = sparse.vstack(rows, format="csr")
-        flat = np.unique(basis.indices)
-        basis = basis[:, flat]
-        indices = (flat % LIOUVILLE_DIM).astype(np.int32)
-        indptr = np.searchsorted(flat // LIOUVILLE_DIM, np.arange(LIOUVILLE_DIM + 1))
-        for a in (basis.data, basis.indices, basis.indptr):
-            _read_only(a)
-        out.append((basis, _read_only(indices), _read_only(indptr.astype(np.int32))))
+        basis, flat = _linear_basis(rows)
+        out.append((basis, *csr_structure(flat)))
     return tuple(out)
 
 

@@ -27,6 +27,7 @@ from .generators import (
     HILBERT_DIM,
     LIOUVILLE_DIM,
     TRACE_VECTOR,
+    csr_structure,
     exchange_generators,
     free_generator,
     transition_operator,
@@ -70,8 +71,6 @@ def _pattern_of(packed: bytes) -> _Pattern:
     pattern = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=size).astype(bool)
     pattern = pattern.reshape(LIOUVILLE_DIM, LIOUVILLE_DIM)
     flat = np.flatnonzero(pattern)
-    indices = (flat % LIOUVILLE_DIM).astype(np.int32)
-    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(pattern, axis=1))))
 
     pattern[0] |= TRACE_VECTOR != 0
     # directed=False joins i and j when entry (i, j) or (j, i) is nonzero
@@ -81,10 +80,9 @@ def _pattern_of(packed: bytes) -> _Pattern:
         np.stack([np.flatnonzero(labels == c) for c in np.flatnonzero(sizes == size)])
         for size in np.unique(sizes)
     )
-    out = _Pattern(sectors, flat, indices, indptr.astype(np.int32))
-    for array in (*sectors, *out[1:]):
+    for array in (*sectors, flat):
         array.flags.writeable = False
-    return out
+    return _Pattern(sectors, flat, *csr_structure(flat))
 
 
 def _sectors(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -176,9 +174,7 @@ class DeflatedResolvent:
     """
 
     def __init__(self, gen: np.ndarray, rho0: np.ndarray):
-        deflated = gen + np.outer(
-            np.asarray(rho0, dtype=complex).reshape(-1), TRACE_VECTOR
-        )
+        rho0 = np.asarray(rho0, dtype=complex).reshape(-1)
         structure = _pattern(gen)
         # sparse.csr_array(gen), with its own index arrays so that nothing
         # done to the matrix can change the cache
@@ -186,15 +182,16 @@ class DeflatedResolvent:
             (np.take(gen, structure.flat), structure.indices.copy(), structure.indptr.copy()),
             shape=gen.shape,
         )
-        self._setup(
-            matrix,
-            TRACE_VECTOR,
-            np.arange(LIOUVILLE_DIM),
-            [
-                (index, deflated[index[:, :, None], index[:, None, :]])
-                for index in structure.sectors
-            ],
-        )
+        groups = []
+        for index in structure.sectors:
+            blocks = gen[index[:, :, None], index[:, None, :]]
+            # |rho0><trace| reaches only the trace's columns, the
+            # populations, which all lie in the sector of index 0
+            for k in np.flatnonzero(index[:, 0] == 0):
+                rows = index[k]
+                blocks[k] += np.outer(rho0[rows], TRACE_VECTOR[rows])
+            groups.append((index, blocks))
+        self._setup(matrix, TRACE_VECTOR, np.arange(LIOUVILLE_DIM), groups)
 
     def _setup(self, matrix, trace, rows, groups) -> None:
         # rows: the entries of the 256-vector that this resolvent's vectors
@@ -285,8 +282,7 @@ class DeflatedResolvent:
         del gathered
 
         # the residual test also rejects non-finite input and output
-        residual = self._matrix @ x.transpose(1, 0, 2).reshape(n, -1)
-        residual = residual.reshape(n, zs.size, -1).transpose(1, 0, 2)
+        residual = _apply(self._matrix, x)
         residual -= zs[:, None, None] * x
         residual -= stack
         residual = np.linalg.norm(residual, axis=(1, 2))
@@ -317,6 +313,13 @@ def csr_block(matrix: sparse.csr_array, rows: np.ndarray, cols: np.ndarray) -> s
         (matrix.data[take[keep]], col[keep], np.concatenate(([0], np.cumsum(per_row)))),
         shape=(len(rows), len(cols)),
     )
+
+
+def _apply(op: sparse.csr_array, x: np.ndarray) -> np.ndarray:
+    """Apply a sparse operator to every column of an F x n x k stack."""
+    f, n, k = x.shape
+    out = op @ x.transpose(1, 0, 2).reshape(n, f * k)
+    return out.reshape(-1, f, k).transpose(1, 0, 2)
 
 
 def _batched_solve(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:

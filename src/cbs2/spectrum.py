@@ -25,6 +25,7 @@ from .geometry import Configuration, PhysParams
 from .perturbation import (
     PerturbativeState,
     ResolventPoleError,
+    _apply,
     build_expansion,
     checked_geometry_weight,
     csr_block,
@@ -117,13 +118,6 @@ class SpectrumResult:
                 raise ValueError(f"{name} must match the grid shape")
             if not np.all(np.isfinite(dens)):
                 raise ValueError(f"{name} contains non-finite values")
-
-
-def _apply(op: sparse.csr_array, x: np.ndarray) -> np.ndarray:
-    """Apply a sparse operator to every column of an F x n x k stack."""
-    f, n, k = x.shape
-    out = op @ x.transpose(1, 0, 2).reshape(n, f * k)
-    return out.reshape(-1, f, k).transpose(1, 0, 2)
 
 
 def default_frequency_grid(

@@ -18,9 +18,8 @@ from cbs2.generators import (
     HILBERT_DIM,
     LIOUVILLE_DIM,
     TRACE_VECTOR,
-    _atom_generator,
     _exchange_basis,
-    _kron_sum_targets,
+    _free_basis,
     dipole_components,
     exchange_generators,
     exchange_generators_from_tensor,
@@ -316,17 +315,18 @@ def test_exchange_generators_equal_dense_csr():
 
 
 def test_cached_generator_structure_is_read_only():
+    free_matrix, free_flat = _free_basis()
     basis = [
         array
-        for matrix, indices, indptr in _exchange_basis()
-        for array in (matrix.data, matrix.indices, matrix.indptr, indices, indptr)
+        for matrix, *structure in [*_exchange_basis(), (free_matrix, free_flat)]
+        for array in (matrix.data, matrix.indices, matrix.indptr, *structure)
     ]
     cached = [
         transition_operator(atom, level, kind)
         for atom in (1, 2)
         for level in EXCITED_LEVELS
         for kind in ("lowering", "raising", "projector")
-    ] + list(_kron_sum_targets()) + basis
+    ] + basis
     for array in cached:
         assert not array.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
@@ -372,22 +372,29 @@ def single_atom_free_matrix(params, phase=0.0):
     return mat
 
 
-def test_free_generator_equals_direct_construction():
-    # the Kronecker sum of the two single-atom generators, permuted to the
-    # pair index order, must reproduce entry for entry the generator built
-    # directly on the 256-dimensional pair space (detuned, phased drive)
-    params = PhysParams(omega=0.3, delta=2.5)
-    phi_L = 1.7
+def direct_free_matrix(params, phi_L):
+    """The free generator built directly on the 256-dimensional pair space."""
     eye = np.eye(HILBERT_DIM, dtype=complex)
     ham = two_atom_hamiltonian(params, phi_L)
-    want = 1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
+    mat = 1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
     for atom in (1, 2):
         for level in EXCITED_LEVELS:
             lower = transition_operator(atom, level, "lowering")
             proj = transition_operator(atom, level, "projector")
-            want += 2.0 * params.gamma * np.kron(lower, lower.conj())
-            want -= params.gamma * (np.kron(proj, eye) + np.kron(eye, proj.T))
-    assert np.array_equal(free_generator(params, phi_L), want)
+            mat += 2.0 * params.gamma * np.kron(lower, lower.conj())
+            mat -= params.gamma * (np.kron(proj, eye) + np.kron(eye, proj.T))
+    return mat
+
+
+def kron_sum_free_matrix(params, phi_L):
+    """The Kronecker sum of the two single-atom generators, permuted to
+    the row-major two-atom index order."""
+    eye = np.eye(HILBERT_DIM, dtype=complex)
+    atom_1 = single_atom_free_matrix(params)
+    atom_2 = single_atom_free_matrix(params, phi_L)
+    # row-major two-atom index (i1 i2, j1 j2) -> Kronecker-sum index (i1 j1, i2 j2)
+    pair = np.arange(LIOUVILLE_DIM).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(-1)
+    return (np.kron(atom_1, eye) + np.kron(eye, atom_2))[np.ix_(pair, pair)]
 
 
 @pytest.mark.parametrize(
@@ -395,17 +402,25 @@ def test_free_generator_equals_direct_construction():
     [(0.0, 0.0, 0.0), (0.0, -1.5, 0.7), (1.0, 0.0, 0.0), (0.3, 2.5, 1.7), (100.0, -3.0, 2.5)],
 )
 def test_free_generator_equals_kron_sum_reference(omega, delta, phi_L):
-    # bitwise, signs of zeros included: the scatter into the cached
-    # targets against the dense Kronecker sum permuted with np.ix_
+    # bitwise, signs of zeros included: the parameter-linear basis against
+    # the Kronecker sum of independently built single-atom generators and
+    # against the generator built directly on the pair space (detuned,
+    # phased drive included)
     params = PhysParams(omega=omega, delta=delta)
-    eye = np.eye(HILBERT_DIM, dtype=complex)
-    atom_1 = _atom_generator(params.gamma, delta, omega + 0j)
-    atom_2 = _atom_generator(params.gamma, delta, omega * np.exp(1j * phi_L))
-    pair = np.arange(LIOUVILLE_DIM).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(-1)
-    want = (np.kron(atom_1, eye) + np.kron(eye, atom_2))[np.ix_(pair, pair)]
     got = free_generator(params, phi_L)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    for want in (kron_sum_free_matrix(params, phi_L), direct_free_matrix(params, phi_L)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_free_generator_returns_own_array():
+    # the cached basis is only read: writing into one result must not
+    # reach the next
+    params = PhysParams(omega=1.3, delta=0.4)
+    first = free_generator(params, 0.7)
+    want = first.copy()
+    first[:] = 7.0
+    assert free_generator(params, 0.7).tobytes() == want.tobytes()
 
 
 def test_free_generator_reduces_to_single_atom(gen_rng):
