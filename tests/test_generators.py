@@ -397,6 +397,15 @@ def kron_sum_free_matrix(params, phi_L):
     return (np.kron(atom_1, eye) + np.kron(eye, atom_2))[np.ix_(pair, pair)]
 
 
+def test_free_generator_equals_direct_construction():
+    # the parameter-linear basis must reproduce entry for entry the
+    # generator built directly on the 256-dimensional pair space
+    # (detuned, phased drive)
+    params = PhysParams(omega=0.3, delta=2.5)
+    phi_L = 1.7
+    assert np.array_equal(free_generator(params, phi_L), direct_free_matrix(params, phi_L))
+
+
 @pytest.mark.parametrize(
     "omega, delta, phi_L",
     [(0.0, 0.0, 0.0), (0.0, -1.5, 0.7), (1.0, 0.0, 0.0), (0.3, 2.5, 1.7), (100.0, -3.0, 2.5)],
