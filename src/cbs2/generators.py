@@ -12,15 +12,12 @@ Operator-space conventions: two-atom operators live on the 16-dimensional
 product space with the atom-1 index outermost (kron(A1, A2)).  Density
 matrices are vectorized row-major, so a superoperator acting as
 rho -> A rho B has matrix kron(A, B.T); spre, spost and sandwich build
-such superoperators as scipy sparse arrays.
+such superoperators.
 
-Both generators are linear in their parameters and are filled from bases
-built once from spre, spost and sandwich.  The free generator is a dense
-complex 256 x 256 array, because its consumers (sector blocks, the
-steady-state solve, the dense reference) are dense; the exchange
-generators are scipy CSR arrays, because they only act on vectors.  The
-stationary trace constraint is handled by the solvers, not by deflating
-the generator itself.
+Both generators are linear in their parameters, are filled from bases
+built once from spre, spost and sandwich, and are dense complex
+256 x 256 arrays.  The stationary trace constraint is handled by the
+solvers, not by deflating the generator itself.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy import sparse
 
 from .geometry import PhysParams, helicity_unit_vector, transverse_projector
 
@@ -104,61 +100,67 @@ def dipole_components(atom: int) -> np.ndarray:
     return comps
 
 
-def spre(op: np.ndarray) -> sparse.coo_array:
+def spre(op: np.ndarray) -> np.ndarray:
     """Superoperator for left multiplication, rho -> op rho."""
-    return sparse.kron(op, sparse.eye_array(op.shape[0], dtype=complex), format="coo")
+    return np.kron(op, np.eye(op.shape[0], dtype=complex))
 
 
-def spost(op: np.ndarray) -> sparse.coo_array:
+def spost(op: np.ndarray) -> np.ndarray:
     """Superoperator for right multiplication, rho -> rho op."""
-    return sparse.kron(sparse.eye_array(op.shape[0], dtype=complex), op.T, format="coo")
+    return np.kron(np.eye(op.shape[0], dtype=complex), op.T)
 
 
-def sandwich(left: np.ndarray, right: np.ndarray) -> sparse.coo_array:
+def sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Superoperator for rho -> left rho right."""
-    return sparse.kron(left, right.T, format="coo")
+    return np.kron(left, right.T)
 
 
-def _linear_basis(generators) -> tuple[sparse.csr_array, np.ndarray]:
-    """The k x m CSR matrix whose row r holds the entries of generator r
-    on the m flat positions (row-major, sorted) that any of the k
-    generators reaches, and those positions.  All arrays are read-only."""
-    basis = sparse.vstack(
-        [sparse.coo_array(g).reshape((1, -1)) for g in generators], format="csr"
-    )
-    flat = np.unique(basis.indices)
-    basis = basis[:, flat]
-    for a in (basis.data, basis.indices, basis.indptr):
-        _read_only(a)
-    return basis, _read_only(flat)
+def _linear_basis(generators) -> tuple[np.ndarray, np.ndarray]:
+    """The k x m array whose row r holds the entries of generator r on the
+    m flat positions (row-major, sorted) that any of the k generators
+    reaches, and those positions.  Each generator is cut to its nonzero
+    entries as soon as the iterable yields it, so that a lazy iterable
+    keeps only a few 256 x 256 temporaries at once.  Both arrays are
+    read-only."""
+    cut = []
+    for g in generators:
+        flat = np.flatnonzero(g)
+        cut.append((flat, g.reshape(-1)[flat]))
+    flat = np.unique(np.concatenate([positions for positions, _ in cut]))
+    basis = np.zeros((len(cut), flat.size), dtype=complex)
+    for row, (positions, values) in zip(basis, cut):
+        row[np.searchsorted(flat, positions)] = values
+    return _read_only(basis), _read_only(flat)
 
 
-def csr_structure(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only int32 CSR indices and indptr of a 256 x 256 matrix whose
-    stored entries sit at the sorted flat row-major positions flat."""
-    indices = (flat % LIOUVILLE_DIM).astype(np.int32)
-    indptr = np.searchsorted(flat // LIOUVILLE_DIM, np.arange(LIOUVILLE_DIM + 1))
-    return _read_only(indices), _read_only(indptr.astype(np.int32))
+def _combine(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """coeffs @ basis, with the rows summed one after the other in basis
+    order, which gives the entries of a term-by-term construction bit for
+    bit; a BLAS product sums in an order of its own."""
+    return (coeffs[:, None] * basis).sum(axis=0)
 
 
 @functools.cache
-def _free_basis() -> tuple[sparse.csr_array, np.ndarray]:
+def _free_basis() -> tuple[np.ndarray, np.ndarray]:
     """_linear_basis of the parts of the free generator that multiply
     gamma, delta, d_1, conj(d_1), d_2 and conj(d_2), where d_a is the
     complex drive of atom a."""
     pairs = [(atom, level) for atom in (1, 2) for level in EXCITED_LEVELS]
     # H holds delta times the number of excited atoms
     excited = sum(transition_operator(*pair, "projector") for pair in pairs)
-    pre, post = spre(excited), spost(excited)
-    lowering = [transition_operator(*pair, "lowering") for pair in pairs]
-    decay = 2.0 * sum(sandwich(op, op.conj().T) for op in lowering) - pre - post
-    detuning = 1j * (pre - post)
-    # H holds -(d s_41 + conj(d) s_14) / 2, and L = i (spre(H) - spost(H))
-    drives = [
-        -0.5j * (spre(op) - spost(op))
-        for op in (transition_operator(a, 4, k) for a in (1, 2) for k in ("raising", "lowering"))
-    ]
-    return _linear_basis([decay, detuning, *drives])
+
+    def parts():
+        pre, post = spre(excited), spost(excited)
+        lowering = [transition_operator(*pair, "lowering") for pair in pairs]
+        yield 2.0 * sum(sandwich(op, op.conj().T) for op in lowering) - pre - post
+        yield 1j * (pre - post)
+        # H holds -(d s_41 + conj(d) s_14) / 2, and L = i (spre(H) - spost(H))
+        for atom in (1, 2):
+            for kind in ("raising", "lowering"):
+                op = transition_operator(atom, 4, kind)
+                yield -0.5j * (spre(op) - spost(op))
+
+    return _linear_basis(parts())
 
 
 def free_generator(params: PhysParams, phi_L: float = 0.0) -> np.ndarray:
@@ -170,52 +172,44 @@ def free_generator(params: PhysParams, phi_L: float = 0.0) -> np.ndarray:
     delta and the two complex drives and their conjugates, and is filled
     from the cached basis of those parts.
     """
-    basis, flat = _free_basis()
     drive_1 = params.omega + 0j
     drive_2 = params.omega * np.exp(1j * phi_L)
     coeffs = np.array(
         [params.gamma, params.delta, drive_1, np.conj(drive_1), drive_2, np.conj(drive_2)],
         dtype=complex,
     )
+    basis, flat = _free_basis()
     mat = np.zeros(LIOUVILLE_DIM * LIOUVILLE_DIM, dtype=complex)
-    mat[flat] = coeffs @ basis
+    mat[flat] = _combine(coeffs, basis)
     return mat.reshape(LIOUVILLE_DIM, LIOUVILLE_DIM)
 
 
 @functools.cache
-def _exchange_basis() -> tuple[tuple[sparse.csr_array, np.ndarray, np.ndarray], ...]:
-    """V_plus and V_minus of the nine unit tensors e_i e_j^T.
-
-    For each generator: the _linear_basis of the nine, row 3 i + j for
-    e_i e_j^T, and the CSR indices and indptr of its flat positions.  All
-    arrays are read-only.
-    """
+def _exchange_basis() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """_linear_basis of V_plus and of V_minus over the nine unit tensors
+    e_i e_j^T, row 3 i + j for e_i e_j^T."""
     dips = {1: dipole_components(1), 2: dipole_components(2)}
-    rows_plus, rows_minus = [], []
-    for i in range(3):
-        for j in range(3):
-            v_plus = v_minus = 0
-            for alpha, beta in ((1, 2), (2, 1)):
-                d_a, d_b = dips[alpha], dips[beta]
-                dag_ai = d_a[i].conj().T
-                dag_bi = d_b[i].conj().T
-                v_plus = v_plus + (sandwich(d_b[j], dag_ai) - spost(dag_ai @ d_b[j]))
-                v_minus = v_minus + (sandwich(d_a[j], dag_bi) - spre(dag_bi @ d_a[j]))
-            rows_plus.append(v_plus)
-            rows_minus.append(v_minus)
-    out = []
-    for rows in (rows_plus, rows_minus):
-        basis, flat = _linear_basis(rows)
-        out.append((basis, *csr_structure(flat)))
-    return tuple(out)
+
+    def plus(d_a, d_b, i, j):
+        dag = d_a[i].conj().T
+        return sandwich(d_b[j], dag) - spost(dag @ d_b[j])
+
+    def minus(d_a, d_b, i, j):
+        dag = d_b[i].conj().T
+        return sandwich(d_a[j], dag) - spre(dag @ d_a[j])
+
+    def rows(term):
+        for i in range(3):
+            for j in range(3):
+                yield sum(term(dips[a], dips[b], i, j) for a, b in ((1, 2), (2, 1)))
+
+    return _linear_basis(rows(plus)), _linear_basis(rows(minus))
 
 
-def exchange_generators_from_tensor(
-    tensor: np.ndarray,
-) -> tuple[sparse.csr_array, sparse.csr_array]:
+def exchange_generators_from_tensor(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Photon-exchange generators for an arbitrary symmetric rank-2 tensor.
 
-    Returns the pair (V_plus, V_minus), as CSR arrays, multiplying the
+    Returns the pair (V_plus, V_minus) of 256 x 256 arrays, multiplying the
     exchange coupling g and its conjugate in the full generator
     L = L_free + g V_plus + conj(g) V_minus.  Both annihilate the trace; only their g, g* weighted
     sum preserves Hermiticity.  Both are linear in the tensor.
@@ -223,21 +217,14 @@ def exchange_generators_from_tensor(
     t = np.asarray(tensor, dtype=complex)
     if t.shape != (3, 3):
         raise ValueError("tensor must be 3 x 3")
-    out = []
-    for basis, indices, indptr in _exchange_basis():
-        # own index arrays: eliminate_zeros compacts them in place
-        v = sparse.csr_array(
-            (t.reshape(-1) @ basis, indices.copy(), indptr.copy()),
-            shape=(LIOUVILLE_DIM, LIOUVILLE_DIM),
-        )
-        v.eliminate_zeros()
-        out.append(v)
-    return tuple(out)
+    out = np.zeros((2, LIOUVILLE_DIM * LIOUVILLE_DIM), dtype=complex)
+    for v, (basis, flat) in zip(out, _exchange_basis()):
+        v[flat] = _combine(t.reshape(-1), basis)
+    v_plus, v_minus = out.reshape(2, LIOUVILLE_DIM, LIOUVILLE_DIM)
+    return v_plus, v_minus
 
 
-def exchange_generators(
-    n_hat: np.ndarray, gamma: float = 1.0
-) -> tuple[sparse.csr_array, sparse.csr_array]:
+def exchange_generators(n_hat: np.ndarray, gamma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Exchange generators for an atom pair oriented along n_hat."""
     return exchange_generators_from_tensor(gamma * transverse_projector(n_hat))
 

@@ -16,18 +16,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as la
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .generators import (
     HILBERT_DIM,
     LIOUVILLE_DIM,
     TRACE_VECTOR,
-    csr_structure,
     exchange_generators,
     free_generator,
     transition_operator,
@@ -39,52 +34,6 @@ class DegeneracyError(RuntimeError):
     """The free generator has more than one stationary direction."""
 
 
-class _Pattern(NamedTuple):
-    """Structure of a generator that depends only on its nonzero pattern.
-
-    sectors: the _sectors split; flat: the flat positions of the nonzero
-    entries in row-major order; indices, indptr: the CSR structure of
-    those entries.  All arrays are read-only.
-    """
-
-    sectors: tuple
-    flat: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-
-
-def _pattern(matrix: np.ndarray) -> _Pattern:
-    """The cached _Pattern of a 256 x 256 matrix."""
-    pattern = matrix != 0
-    if pattern.shape != (LIOUVILLE_DIM, LIOUVILLE_DIM):
-        raise ValueError(
-            f"generator must be {LIOUVILLE_DIM} x {LIOUVILLE_DIM}, got shape {pattern.shape}"
-        )
-    return _pattern_of(np.packbits(pattern).tobytes())
-
-
-# a few patterns recur (drive, detuning zero or not); the bound keeps
-# arbitrary input matrices from growing the cache for the life of the process
-@functools.lru_cache(maxsize=32)
-def _pattern_of(packed: bytes) -> _Pattern:
-    size = LIOUVILLE_DIM * LIOUVILLE_DIM
-    pattern = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=size).astype(bool)
-    pattern = pattern.reshape(LIOUVILLE_DIM, LIOUVILLE_DIM)
-    flat = np.flatnonzero(pattern)
-
-    pattern[0] |= TRACE_VECTOR != 0
-    # directed=False joins i and j when entry (i, j) or (j, i) is nonzero
-    _, labels = connected_components(pattern, directed=False)
-    sizes = np.bincount(labels)
-    sectors = tuple(
-        np.stack([np.flatnonzero(labels == c) for c in np.flatnonzero(sizes == size)])
-        for size in np.unique(sizes)
-    )
-    for array in (*sectors, flat):
-        array.flags.writeable = False
-    return _Pattern(sectors, flat, *csr_structure(flat))
-
-
 def _sectors(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
     """Index sets of the sectors of a generator that never couple.
 
@@ -92,10 +41,43 @@ def _sectors(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
     matrix, with the trace row joined to index 0, so that all populations
     share the sector of index 0; the stationary state, the trace-row solve
     and the deflation |rho0><trace| all lie inside it.  Returns one
-    (count, dim) array of sorted indices per sector size, cached on the
-    pattern and read-only.
+    (count, dim) array of sorted indices per sector size, in increasing
+    size, cached on the pattern and read-only.
     """
-    return _pattern(matrix).sectors
+    pattern = matrix != 0
+    if pattern.shape != (LIOUVILLE_DIM, LIOUVILLE_DIM):
+        raise ValueError(
+            f"generator must be {LIOUVILLE_DIM} x {LIOUVILLE_DIM}, got shape {pattern.shape}"
+        )
+    return _sectors_of(np.packbits(pattern).tobytes())
+
+
+# a few patterns recur (drive, detuning zero or not); the bound keeps
+# arbitrary input matrices from growing the cache for the life of the process
+@functools.lru_cache(maxsize=32)
+def _sectors_of(packed: bytes) -> tuple[np.ndarray, ...]:
+    size = LIOUVILLE_DIM * LIOUVILLE_DIM
+    pattern = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=size).astype(bool)
+    pattern = pattern.reshape(LIOUVILLE_DIM, LIOUVILLE_DIM)
+    pattern[0] |= TRACE_VECTOR != 0
+    # i and j are linked when entry (i, j) or (j, i) is nonzero; each index
+    # takes the smallest index linked to it until nothing changes, which
+    # labels every component with its smallest member
+    linked = pattern | pattern.T
+    labels = np.arange(LIOUVILLE_DIM)
+    while True:
+        smallest = np.minimum(labels, np.where(linked, labels, LIOUVILLE_DIM).min(axis=1))
+        if np.array_equal(smallest, labels):
+            break
+        labels = smallest
+    sizes = np.bincount(labels, minlength=LIOUVILLE_DIM)
+    sectors = tuple(
+        np.stack([np.flatnonzero(labels == c) for c in np.flatnonzero(sizes == size)])
+        for size in np.unique(sizes[sizes > 0])
+    )
+    for array in sectors:
+        array.flags.writeable = False
+    return sectors
 
 
 def _trace_row_solve(matrix: np.ndarray, trace: np.ndarray = TRACE_VECTOR) -> np.ndarray:
@@ -105,7 +87,7 @@ def _trace_row_solve(matrix: np.ndarray, trace: np.ndarray = TRACE_VECTOR) -> np
     a[0, :] = trace
     b = np.zeros(a.shape[0], dtype=complex)
     b[0] = 1.0
-    return la.solve(a, b)
+    return np.linalg.solve(a, b)
 
 
 def zeroth_steady_state(gen: np.ndarray) -> np.ndarray:
@@ -114,12 +96,14 @@ def zeroth_steady_state(gen: np.ndarray) -> np.ndarray:
     Solves L rho = 0 with the first row of the system replaced by the
     trace constraint, on the sector of index 0 only, then verifies
     residual, Hermiticity, positivity and uniqueness of the stationary
-    direction.
+    direction.  A NaN or infinite entry of L raises ValueError.
     """
     sectors = _sectors(gen)
     # L is block diagonal in its sectors, so its singular values are those
-    # of its blocks
+    # of its blocks; every nonzero entry, NaN and inf included, lies in one
     blocks = [gen[index[:, :, None], index[:, None, :]] for index in sectors]
+    if not all(np.isfinite(b).all() for b in blocks):
+        raise ValueError("generator has non-finite entries")
     sv = np.sort(
         np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for b in blocks])
     )[::-1]
@@ -139,10 +123,10 @@ def zeroth_steady_state(gen: np.ndarray) -> np.ndarray:
     rho = 0.5 * (rho + rho.conj().T)
 
     residual = np.linalg.norm(gen @ rho.reshape(-1))
-    if residual > 1e-10:
+    if not residual <= 1e-10:
         raise RuntimeError(f"steady-state residual {residual:.3e} exceeds 1e-10")
     eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < -1e-10:
+    if not eigs.min() >= -1e-10:
         raise RuntimeError(f"steady state not positive semidefinite ({eigs.min():.3e})")
     return rho
 
@@ -164,7 +148,8 @@ class DeflatedResolvent:
     The deflated matrix splits into the sectors of L (for the driven pair,
     one 36-dimensional population block, which holds the deflation, and 48
     smaller coherence blocks).  Sectors of equal size are stacked, so one
-    solve is one batched LU with partial pivoting per size.  No
+    solve is one batched LU with partial pivoting per size, and its
+    residual is checked against the undeflated blocks of L.  No
     eigenvectors are formed, so exceptional points of L need no special
     treatment.
 
@@ -175,36 +160,30 @@ class DeflatedResolvent:
 
     def __init__(self, gen: np.ndarray, rho0: np.ndarray):
         rho0 = np.asarray(rho0, dtype=complex).reshape(-1)
-        structure = _pattern(gen)
-        # sparse.csr_array(gen), with its own index arrays so that nothing
-        # done to the matrix can change the cache
-        matrix = sparse.csr_array(
-            (np.take(gen, structure.flat), structure.indices.copy(), structure.indptr.copy()),
-            shape=gen.shape,
-        )
         groups = []
-        for index in structure.sectors:
+        for index in _sectors(gen):
             blocks = gen[index[:, :, None], index[:, None, :]]
+            deflated = blocks.copy()
             # |rho0><trace| reaches only the trace's columns, the
             # populations, which all lie in the sector of index 0
             for k in np.flatnonzero(index[:, 0] == 0):
                 rows = index[k]
-                blocks[k] += np.outer(rho0[rows], TRACE_VECTOR[rows])
-            groups.append((index, blocks))
-        self._setup(matrix, TRACE_VECTOR, np.arange(LIOUVILLE_DIM), groups)
+                deflated[k] += np.outer(rho0[rows], TRACE_VECTOR[rows])
+            groups.append((index, blocks, deflated))
+        self._setup(TRACE_VECTOR, np.arange(LIOUVILLE_DIM), groups)
 
-    def _setup(self, matrix, trace, rows, groups) -> None:
+    def _setup(self, trace, rows, groups) -> None:
         # rows: the entries of the 256-vector that this resolvent's vectors
         # hold, in order; groups: per sector size, a (count, dim) array of
-        # sector indices into those vectors and the (count, dim, dim) stack
-        # of the deflated diagonal blocks
-        self._matrix, self._trace, self.rows, self._groups = matrix, trace, rows, groups
-        self._order = np.concatenate([index.reshape(-1) for index, _ in groups])
+        # sector indices into those vectors and the (count, dim, dim) stacks
+        # of the diagonal blocks of L and of the deflated matrix
+        self._trace, self.rows, self._groups = trace, rows, groups
+        self._order = np.concatenate([index.reshape(-1) for index, *_ in groups])
         self._unorder = np.argsort(self._order)
         # the sector number of each entry
         self._sector = np.empty(rows.size, dtype=int)
         count = 0
-        for index, _ in groups:
+        for index, *_ in groups:
             self._sector[index] = count + np.arange(index.shape[0])[:, None]
             count += index.shape[0]
 
@@ -230,14 +209,12 @@ class DeflatedResolvent:
         compact = np.full(self.rows.size, -1)
         compact[kept] = np.arange(kept.size)
         groups = []
-        for index, blocks in self._groups:
+        for index, *blocks in self._groups:
             hit = compact[index[:, 0]] >= 0
             if hit.any():
-                groups.append((compact[index[hit]], blocks[hit]))
+                groups.append((compact[index[hit]], *(b[hit] for b in blocks)))
         out = object.__new__(DeflatedResolvent)
-        out._setup(
-            csr_block(self._matrix, kept, kept), self._trace[kept], self.rows[kept], groups
-        )
+        out._setup(self._trace[kept], self.rows[kept], groups)
         return out
 
     def solve(self, z, rhs: np.ndarray) -> np.ndarray:
@@ -266,26 +243,33 @@ class DeflatedResolvent:
             )
 
         gathered = stack[:, self._order, :]
+        # squared norm of (L - z) X - B per shift: L is block diagonal in
+        # the sectors and X and B are 0 outside the solved ones, so it adds
+        # up over those
+        squared = np.zeros(zs.size)
         start = 0
-        for index, blocks in self._groups:
+        for index, blocks, deflated in self._groups:
             count, dim = index.shape
             # a view: solutions written to it land in gathered
             slab = gathered[:, start:start + index.size, :].reshape(zs.size, count, dim, -1)
             start += index.size
             reached = np.flatnonzero(np.any(slab != 0, axis=(0, 2, 3)))
             if reached.size:
-                shifted = blocks[reached] - zs[:, None, None, None] * np.eye(dim)
-                slab[:, reached] = _batched_solve(shifted, slab[:, reached])
+                shift = zs[:, None, None, None]
+                b_r = slab[:, reached]
+                x_r = _batched_solve(deflated[reached] - shift * np.eye(dim), b_r)
+                slab[:, reached] = x_r
+                # one product per sector, over all shifts and columns
+                lx = blocks[reached] @ x_r.transpose(1, 2, 0, 3).reshape(reached.size, dim, -1)
+                lx = lx.reshape(reached.size, dim, zs.size, -1).transpose(2, 0, 1, 3)
+                squared += np.sum(np.abs(lx - shift * x_r - b_r) ** 2, axis=(1, 2, 3))
         # full-size (F, n, k) temporaries are freed or reused early, to
         # keep a sweep chunk under glibc's trim threshold (spectrum.SWEEP_CHUNK)
         x = gathered[:, self._unorder, :]
         del gathered
 
         # the residual test also rejects non-finite input and output
-        residual = _apply(self._matrix, x)
-        residual -= zs[:, None, None] * x
-        residual -= stack
-        residual = np.linalg.norm(residual, axis=(1, 2))
+        residual = np.sqrt(squared)
         bound = 1e-10 * np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1e-300)
         failed = np.flatnonzero(~(residual <= bound))
         if failed.size:
@@ -294,32 +278,6 @@ class DeflatedResolvent:
                 f"deflated resolvent at z = {zs[f]} left residual {residual[f]:.3e}"
             )
         return x.reshape(zs.shape + tail if np.ndim(z) else tail)
-
-
-def csr_block(matrix: sparse.csr_array, rows: np.ndarray, cols: np.ndarray) -> sparse.csr_array:
-    """matrix[rows][:, cols] for index arrays, with the entries of each row
-    in their stored order; a few times cheaper than scipy's fancy indexing
-    on the small blocks the spectrum engine takes."""
-    lo = matrix.indptr[rows]
-    counts = matrix.indptr[rows + 1] - lo
-    ends = np.cumsum(counts)
-    take = np.arange(counts.sum()) + np.repeat(lo - ends + counts, counts)
-    compact = np.full(matrix.shape[1], -1)
-    compact[cols] = np.arange(len(cols))
-    col = compact[matrix.indices[take]]
-    keep = col >= 0
-    per_row = np.bincount(np.repeat(np.arange(len(rows)), counts)[keep], minlength=len(rows))
-    return sparse.csr_array(
-        (matrix.data[take[keep]], col[keep], np.concatenate(([0], np.cumsum(per_row)))),
-        shape=(len(rows), len(cols)),
-    )
-
-
-def _apply(op: sparse.csr_array, x: np.ndarray) -> np.ndarray:
-    """Apply a sparse operator to every column of an F x n x k stack."""
-    f, n, k = x.shape
-    out = op @ x.transpose(1, 0, 2).reshape(n, f * k)
-    return out.reshape(-1, f, k).transpose(1, 0, 2)
 
 
 def _batched_solve(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -346,14 +304,14 @@ class PerturbativeState:
     formed: they carry a net distance phase exp(+-2 i k0 r) that averages
     to zero over the configuration, and no intensity or spectrum reads
     them.  The deflated resolvent of the free generator and the exchange
-    generators as CSR matrices, with which the orders were computed, are
-    kept for the spectral sweep.
+    generators, with which the orders were computed, are kept for the
+    spectral sweep.
     """
 
     orders: dict
     resolvent: DeflatedResolvent = field(repr=False)
-    v_plus: sparse.csr_array = field(repr=False)
-    v_minus: sparse.csr_array = field(repr=False)
+    v_plus: np.ndarray = field(repr=False)
+    v_minus: np.ndarray = field(repr=False)
 
     def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
         return self.orders[key]
@@ -361,8 +319,8 @@ class PerturbativeState:
 
 def perturbative_corrections(
     free: np.ndarray,
-    v_plus: sparse.csr_array,
-    v_minus: sparse.csr_array,
+    v_plus: np.ndarray,
+    v_minus: np.ndarray,
     rho0: np.ndarray,
 ) -> PerturbativeState:
     """Expand the stationary state in g, conj(g) to order (1, 1).
@@ -372,7 +330,7 @@ def perturbative_corrections(
     """
     resolvent = DeflatedResolvent(free, rho0)
 
-    def push(v: sparse.csr_array, state: np.ndarray) -> np.ndarray:
+    def push(v: np.ndarray, state: np.ndarray) -> np.ndarray:
         return -(v @ state.reshape(-1))
 
     def solve(rhs: np.ndarray) -> np.ndarray:
@@ -529,7 +487,7 @@ def nonperturbative_intensity(
     Returns (ladder_total, crossed_total) in units of |g|^2.
     """
     free = free_generator(params, cfg.phi_L)
-    v_plus, v_minus = (v.toarray() for v in exchange_generators(cfg.n_hat, params.gamma))
+    v_plus, v_minus = exchange_generators(cfg.n_hat, params.gamma)
     proj_sum = (
         transition_operator(1, 2, "projector") + transition_operator(2, 2, "projector")
     ).reshape(-1)

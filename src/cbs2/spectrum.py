@@ -18,17 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .generators import LIOUVILLE_DIM, transition_operator
 from .geometry import Configuration, PhysParams
 from .perturbation import (
     PerturbativeState,
     ResolventPoleError,
-    _apply,
     build_expansion,
     checked_geometry_weight,
-    csr_block,
     intensity_terms,
     mean_dipole_orders,
 )
@@ -192,14 +189,12 @@ class SpectrumEngine:
         # and y10.  Each stage-1 source is cut to the sectors of its column.
         self._read = resolvent.restricted(np.flatnonzero(np.any(functionals != 0, axis=0)))
         read = self._read.rows
-        v_plus, v_minus = (
-            csr_block(v, read, np.arange(LIOUVILLE_DIM))
-            for v in (self.pert.v_plus, self.pert.v_minus)
-        )
+        # V+ and V- on the read rows, over all 256 columns
+        self._v_plus, self._v_minus = self.pert.v_plus[read], self.pert.v_minus[read]
         cuts = {
             (1, 1): read,
-            (0, 1): resolvent.sector_closure(v_plus.indices),
-            (1, 0): resolvent.sector_closure(v_minus.indices),
+            (0, 1): resolvent.sector_closure(np.flatnonzero(np.any(self._v_plus != 0, axis=0))),
+            (1, 0): resolvent.sector_closure(np.flatnonzero(np.any(self._v_minus != 0, axis=0))),
         }
         sources = {a: regression_sources(self.pert, a) for a in (1, 2)}
         # columns per atom a: s11, s01, s10
@@ -212,11 +207,8 @@ class SpectrumEngine:
         )
         rows = self._stage1.rows
         self._sources = stage1[rows]
-        self._v_plus, self._v_minus = (
-            csr_block(v, np.arange(read.size), rows) for v in (v_plus, v_minus)
-        )
         self._y11_rows = np.searchsorted(rows, read)
-        self._functionals = sparse.csr_array(functionals[:, read])
+        self._functionals = functionals[:, read]
 
     def pair_transforms(self, nu: np.ndarray) -> np.ndarray:
         """F x 2 x 2 one-sided correlator transforms at the F frequencies
@@ -236,18 +228,22 @@ class SpectrumEngine:
             return -resolvent.solve(z, rhs)
 
         # columns per atom a: y11, y01, y10; stage 2 takes, per atom,
-        # V+ y01, V- y10
+        # V+ y01, V- y10.  V+- act on y spread onto all 256 rows, so that
+        # each entry is summed as in the product on the full vector; over
+        # the stage-1 rows alone, BLAS sums in another order
         y = resolve(self._stage1, self._sources)
-        stage2 = np.stack(
-            [_apply(self._v_plus, y[:, :, [1, 4]]),
-             _apply(self._v_minus, y[:, :, [2, 5]])],
-            axis=-1,
-        ).reshape(z.shape + (self._read.rows.size, 4))
-        u = resolve(self._read, stage2)
+        full = np.zeros((LIOUVILLE_DIM, z.size, 2), dtype=complex)
+        stage2 = np.empty((self._read.rows.size, z.size, 2, 2), dtype=complex)
+        for s, (v, cols) in enumerate(((self._v_plus, [1, 4]), (self._v_minus, [2, 5]))):
+            full[self._stage1.rows] = y[:, :, cols].transpose(1, 0, 2)
+            stage2[..., s] = (v @ full.reshape(LIOUVILLE_DIM, -1)).reshape(-1, z.size, 2)
+        u = resolve(self._read, stage2.transpose(1, 0, 2, 3).reshape(z.shape + (-1, 4)))
 
         total = y[:, self._y11_rows][:, :, [0, 3]] + u[:, :, [0, 2]] + u[:, :, [1, 3]]
-        # total[f, :, a] -> out[f, a, b]
-        return _apply(self._functionals, total).transpose(0, 2, 1)
+        # total[f, :, a] -> out[f, a, b], in one product over all f and a
+        f, n, k = total.shape
+        out = self._functionals @ total.transpose(1, 0, 2).reshape(n, f * k)
+        return out.reshape(-1, f, k).transpose(1, 2, 0)
 
     def densities(self, nu_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Normalized inelastic (ladder, crossed) densities on nu_grid."""

@@ -24,13 +24,23 @@ def run(capsys, *argv):
 
 
 def test_import_leaves_out_scipy_interpolate():
-    # every CLI call imports the package; scipy.interpolate is most of that
-    # import time and only the spline quadrature and window_stats need it
-    code = "import sys, cbs2; print('scipy.interpolate' in sys.modules)"
+    # every CLI call imports the package, and importing scipy would be most
+    # of its time; only window_stats and the spline quadrature of
+    # integrate_spectrum need scipy.  In a fresh interpreter, the import
+    # and the enhancement, spectrum and Monte-Carlo paths load no scipy
+    # module.
+    code = (
+        "import sys, numpy as np, cbs2\n"
+        "params, cfg = cbs2.PhysParams(omega=1.0), cbs2.Configuration()\n"
+        "cbs2.numeric_enhancement(params, cfg)\n"
+        "cbs2.SpectrumEngine(params, cfg).densities(np.linspace(-5.0, 5.0, 41))\n"
+        "cbs2.mc_average(cbs2.AverageSpec(samples=1000))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_version(capsys):

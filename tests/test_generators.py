@@ -9,7 +9,6 @@ of the superoperators without trusting any of the library's own plumbing.
 import numpy as np
 import pytest
 from conftest import apply
-from scipy import sparse
 from scipy.linalg import expm
 
 from cbs2.generators import (
@@ -250,8 +249,8 @@ def test_exchange_tensor_linearity(gen_rng):
     tensor = 0.5 * (tensor + tensor.T)
     vp1, vm1 = exchange_generators_from_tensor(tensor)
     vp2, vm2 = exchange_generators_from_tensor(2.0 * tensor)
-    assert np.allclose(vp2.toarray(), 2.0 * vp1.toarray(), atol=1e-12)
-    assert np.allclose(vm2.toarray(), 2.0 * vm1.toarray(), atol=1e-12)
+    assert np.allclose(vp2, 2.0 * vp1, atol=1e-12)
+    assert np.allclose(vm2, 2.0 * vm1, atol=1e-12)
 
 
 def kron_loop_exchange(tensor):
@@ -293,34 +292,25 @@ def random_complex_symmetric(seed):
 def test_exchange_generators_equal_kron_loop(tensor):
     v_plus, v_minus = exchange_generators_from_tensor(tensor)
     want_plus, want_minus = kron_loop_exchange(tensor)
-    assert np.array_equal(v_plus.toarray(), want_plus)
-    assert np.array_equal(v_minus.toarray(), want_minus)
+    assert np.array_equal(v_plus, want_plus)
+    assert np.array_equal(v_minus, want_minus)
 
 
-def test_exchange_generators_equal_dense_csr():
-    # the x axis comes first: its tensor has zero entries, so exact zeros
-    # are dropped from the cached pattern, which compacts the index arrays
-    # of that result in place; the generic orientation after it, in the
-    # same process, must still get the full cached pattern
+def test_exchange_generators_return_own_arrays():
+    # the cached bases are only read: writing into one result must not
+    # reach the next, for the x axis (zero tensor entries) and a generic
+    # orientation, in turn
     generic = np.array([0.48, -0.6, 0.64])
     for n_hat in (np.array([1.0, 0.0, 0.0]), generic, np.array([1.0, 0.0, 0.0])):
-        tensor = 0.7 * transverse_projector(n_hat)
+        for v in exchange_generators(n_hat, gamma=0.7):
+            v[:] = 7.0
         got = exchange_generators(n_hat, gamma=0.7)
-        for v, dense in zip(got, kron_loop_exchange(tensor)):
-            want = sparse.csr_array(dense)
-            for name in ("data", "indices", "indptr"):
-                a, b = getattr(v, name), getattr(want, name)
-                assert a.dtype == b.dtype
-                assert np.array_equal(a, b)
+        for v, dense in zip(got, kron_loop_exchange(0.7 * transverse_projector(n_hat))):
+            assert np.array_equal(v, dense)
 
 
 def test_cached_generator_structure_is_read_only():
-    free_matrix, free_flat = _free_basis()
-    basis = [
-        array
-        for matrix, *structure in [*_exchange_basis(), (free_matrix, free_flat)]
-        for array in (matrix.data, matrix.indices, matrix.indptr, *structure)
-    ]
+    basis = [array for pair in [*_exchange_basis(), _free_basis()] for array in pair]
     cached = [
         transition_operator(atom, level, kind)
         for atom in (1, 2)
@@ -336,8 +326,8 @@ def test_cached_generator_structure_is_read_only():
 
 def test_exchange_nonzero_along_z():
     v_plus, v_minus = exchange_generators(np.array([0.0, 0.0, 1.0]))
-    assert np.linalg.norm(v_plus.toarray()) > 0.1
-    assert np.linalg.norm(v_minus.toarray()) > 0.1
+    assert np.linalg.norm(v_plus) > 0.1
+    assert np.linalg.norm(v_minus) > 0.1
 
 
 def test_state_trace_and_partial_trace(gen_rng):

@@ -110,6 +110,17 @@ def test_zeroth_order_degeneracy_guard():
             zeroth_steady_state(gen)
 
 
+@pytest.mark.parametrize("entry", [(5, 5), (17, 17), (17, 0)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_zeroth_order_refuses_non_finite_generator(bad, entry):
+    # (5, 5) lies in a coherence sector, outside the solve; (17, 17) and
+    # (17, 0) lie in the population sector that the solve uses
+    gen = free_generator(PhysParams(omega=1.0))
+    gen[entry] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        zeroth_steady_state(gen)
+
+
 def test_traceless_solver_contract():
     rng = np.random.default_rng(11)
     params = PhysParams.from_saturation(1.0)

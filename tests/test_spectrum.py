@@ -234,21 +234,17 @@ def test_cached_sectors_equal_connected_components(omega, delta, phi_L):
         _sectors(gen)[0][0, 0] = 1
 
 
-def test_resolvent_matrix_equals_dense_csr(free_and_rho0):
-    # the CSR of L is filled on the structure cached for its pattern; a
-    # change to one resolvent's CSR (eliminate_zeros compacts its index
-    # arrays in place) must not reach the next resolvent on that pattern
-    free, rho0 = free_and_rho0
-    for gen in (free, random_pattern_matrix(14)):
-        first = DeflatedResolvent(gen, rho0)._matrix
-        first.data[::2] = 0.0
-        first.eliminate_zeros()
-        got = DeflatedResolvent(gen, rho0)._matrix
-        want = sparse.csr_array(gen)
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
+def test_resolvent_keeps_own_copy_of_generator():
+    # the resolvent solves with, and checks its residual against, blocks of
+    # L it gathered itself: a change to the caller's matrix after the
+    # resolvent is built must not reach it
+    src = random_traceless(np.random.default_rng(14)).reshape(-1)
+    for params in (PhysParams.from_saturation(1.0), PhysParams(omega=2.0, delta=3.0)):
+        gen = free_generator(params)
+        resolvent = DeflatedResolvent(gen, zeroth_steady_state(gen))
+        want = resolvent.solve(np.array([0.0, 0.5j]), src)
+        gen[:] = 7.0
+        assert np.array_equal(resolvent.solve(np.array([0.0, 0.5j]), src), want)
 
 
 @pytest.fixture(scope="module")
@@ -337,7 +333,7 @@ def test_pair_transforms_match_dense_full_chain(omega, delta):
     deflated = free_generator(params, cfg.phi_L) + np.outer(
         pert[(0, 0)].reshape(-1), TRACE_VECTOR
     )
-    v_plus, v_minus = (v.toarray() for v in exchange_generators(cfg.n_hat, params.gamma))
+    v_plus, v_minus = exchange_generators(cfg.n_hat, params.gamma)
     nu = np.array([0.0, 0.7, -0.7, omega, -omega])
     want = np.empty((nu.size, 2, 2), dtype=complex)
     for f, nu_f in enumerate(nu):
