@@ -10,6 +10,9 @@ there.
 All correction orders are traceless and are obtained from deflated linear
 solves on the traceless subspace, where the free generator is invertible;
 the same deflated resolvent serves the spectral sweep at z = -i nu.
+build_expansion makes one sector pass per parameter point, whose sector
+blocks both the steady state and the resolvent read, and two solve calls
+at z = 0.
 """
 
 from __future__ import annotations
@@ -90,6 +93,13 @@ def _trace_row_solve(matrix: np.ndarray, trace: np.ndarray = TRACE_VECTOR) -> np
     return np.linalg.solve(a, b)
 
 
+def _sector_blocks(gen: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per sector size (see _sectors), the (count, dim) sector indices and
+    the (count, dim, dim) stack of the diagonal blocks of gen on them,
+    gathered into arrays of their own."""
+    return [(index, gen[index[:, :, None], index[:, None, :]]) for index in _sectors(gen)]
+
+
 def zeroth_steady_state(gen: np.ndarray) -> np.ndarray:
     """Unique trace-one stationary state of the free generator.
 
@@ -98,14 +108,18 @@ def zeroth_steady_state(gen: np.ndarray) -> np.ndarray:
     residual, Hermiticity, positivity and uniqueness of the stationary
     direction.  A NaN or infinite entry of L raises ValueError.
     """
-    sectors = _sectors(gen)
+    return _steady_state(gen, _sector_blocks(gen))
+
+
+def _steady_state(gen: np.ndarray, groups) -> np.ndarray:
+    """zeroth_steady_state on the sector blocks of gen, as _sector_blocks
+    gives them."""
     # L is block diagonal in its sectors, so its singular values are those
     # of its blocks; every nonzero entry, NaN and inf included, lies in one
-    blocks = [gen[index[:, :, None], index[:, None, :]] for index in sectors]
-    if not all(np.isfinite(b).all() for b in blocks):
+    if not all(np.isfinite(blocks).all() for _, blocks in groups):
         raise ValueError("generator has non-finite entries")
     sv = np.sort(
-        np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for b in blocks])
+        np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for _, b in groups])
     )[::-1]
     scale = max(sv[0], 1.0)
     if sv[-2] < 1e-8 * scale:
@@ -114,11 +128,13 @@ def zeroth_steady_state(gen: np.ndarray) -> np.ndarray:
             f"{sv[-2]:.3e} vs scale {scale:.3e})"
         )
 
-    populations = next(index for group in sectors for index in group if index[0] == 0)
-    rho = np.zeros(LIOUVILLE_DIM, dtype=complex)
-    rho[populations] = _trace_row_solve(
-        gen[np.ix_(populations, populations)], TRACE_VECTOR[populations]
+    populations, block = next(
+        (index[k], blocks[k])
+        for index, blocks in groups
+        for k in np.flatnonzero(index[:, 0] == 0)
     )
+    rho = np.zeros(LIOUVILLE_DIM, dtype=complex)
+    rho[populations] = _trace_row_solve(block, TRACE_VECTOR[populations])
     rho = rho.reshape(HILBERT_DIM, HILBERT_DIM)
     rho = 0.5 * (rho + rho.conj().T)
 
@@ -159,18 +175,28 @@ class DeflatedResolvent:
     """
 
     def __init__(self, gen: np.ndarray, rho0: np.ndarray):
+        self._deflate(_sector_blocks(gen), rho0)
+
+    @classmethod
+    def _from_blocks(cls, groups, rho0: np.ndarray) -> "DeflatedResolvent":
+        """The resolvent on the sector blocks groups, as _sector_blocks
+        gives them; it keeps them, without a copy."""
+        out = object.__new__(cls)
+        out._deflate(groups, rho0)
+        return out
+
+    def _deflate(self, groups, rho0: np.ndarray) -> None:
         rho0 = np.asarray(rho0, dtype=complex).reshape(-1)
-        groups = []
-        for index in _sectors(gen):
-            blocks = gen[index[:, :, None], index[:, None, :]]
+        deflated_groups = []
+        for index, blocks in groups:
             deflated = blocks.copy()
             # |rho0><trace| reaches only the trace's columns, the
             # populations, which all lie in the sector of index 0
             for k in np.flatnonzero(index[:, 0] == 0):
                 rows = index[k]
                 deflated[k] += np.outer(rho0[rows], TRACE_VECTOR[rows])
-            groups.append((index, blocks, deflated))
-        self._setup(TRACE_VECTOR, np.arange(LIOUVILLE_DIM), groups)
+            deflated_groups.append((index, blocks, deflated))
+        self._setup(TRACE_VECTOR, np.arange(LIOUVILLE_DIM), deflated_groups)
 
     def _setup(self, trace, rows, groups) -> None:
         # rows: the entries of the 256-vector that this resolvent's vectors
@@ -180,12 +206,13 @@ class DeflatedResolvent:
         self._trace, self.rows, self._groups = trace, rows, groups
         self._order = np.concatenate([index.reshape(-1) for index, *_ in groups])
         self._unorder = np.argsort(self._order)
-        # the sector number of each entry
+        self._eyes = [np.eye(index.shape[1]) for index, *_ in groups]
+        # the sector number of each entry; the sectors of group g are
+        # numbered from self._first[g] on
         self._sector = np.empty(rows.size, dtype=int)
-        count = 0
-        for index, *_ in groups:
-            self._sector[index] = count + np.arange(index.shape[0])[:, None]
-            count += index.shape[0]
+        self._first = np.cumsum([0] + [index.shape[0] for index, *_ in groups])
+        for first, (index, *_) in zip(self._first, groups):
+            self._sector[index] = first + np.arange(index.shape[0])[:, None]
 
     def sector_closure(self, rows) -> np.ndarray:
         """Sorted indices of all entries of the sectors that hold any of
@@ -228,11 +255,17 @@ class DeflatedResolvent:
 
         Only the sectors where B has a nonzero entry, for some shift or
         column, are factored and solved; X is exactly 0 on all others.  A
-        singular block raises ResolventPoleError only when B reaches it.
+        column keeps its B, all zeros, on the solved sectors it does not
+        reach, so each column of X equals the solve of that column alone
+        bit for bit.  A singular block raises ResolventPoleError only when
+        B reaches it; a NaN or infinite entry of B raises ValueError
+        before any solve.
         """
         n = self.rows.size
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
         b = np.asarray(rhs, dtype=complex)
+        if not np.isfinite(b).all():
+            raise ValueError("right-hand side has non-finite entries")
         tail = b.shape[1:] if b.ndim == 3 else b.shape
         per_shift = b.reshape(-1, n, 1 if b.ndim == 1 else b.shape[-1])
         stack = np.broadcast_to(per_shift, (zs.size,) + per_shift.shape[1:])
@@ -242,22 +275,31 @@ class DeflatedResolvent:
                 f"right-hand side must be traceless, trace = {np.max(trace):.3e}"
             )
 
+        # live[s, c]: column c of B has a nonzero entry in sector s, for
+        # some shift; the other columns keep their B there, signed zeros
+        # included
+        live = np.zeros((self._first[-1], stack.shape[2]), dtype=bool)
+        entries, columns = np.nonzero(np.any(per_shift != 0, axis=0))
+        live[self._sector[entries], columns] = True
         gathered = stack[:, self._order, :]
         # squared norm of (L - z) X - B per shift: L is block diagonal in
         # the sectors and X and B are 0 outside the solved ones, so it adds
         # up over those
         squared = np.zeros(zs.size)
         start = 0
-        for index, blocks, deflated in self._groups:
+        for (index, blocks, deflated), first, eye in zip(self._groups, self._first, self._eyes):
             count, dim = index.shape
             # a view: solutions written to it land in gathered
             slab = gathered[:, start:start + index.size, :].reshape(zs.size, count, dim, -1)
             start += index.size
-            reached = np.flatnonzero(np.any(slab != 0, axis=(0, 2, 3)))
+            reached = np.flatnonzero(live[first:first + count].any(axis=1))
             if reached.size:
                 shift = zs[:, None, None, None]
                 b_r = slab[:, reached]
-                x_r = _batched_solve(deflated[reached] - shift * np.eye(dim), b_r)
+                x_r = _batched_solve(deflated[reached] - shift * eye, b_r)
+                columns = live[first + reached][:, None, :]
+                if not columns.all():
+                    x_r = np.where(columns, x_r, b_r)
                 slab[:, reached] = x_r
                 # one product per sector, over all shifts and columns
                 lx = blocks[reached] @ x_r.transpose(1, 2, 0, 3).reshape(reached.size, dim, -1)
@@ -325,20 +367,32 @@ def perturbative_corrections(
 ) -> PerturbativeState:
     """Expand the stationary state in g, conj(g) to order (1, 1).
 
-    The orders (2, 0) and (0, 2) are left out: their distance phase
-    averages to zero and nothing reads them (see PerturbativeState).
+    Two solve calls at z = 0 give the orders: one two-column solve for
+    (1, 0) and (0, 1), so each reached sector is factored once for both,
+    and one for (1, 1), whose right-hand side needs both.  The orders
+    (2, 0) and (0, 2) are left out: their distance phase averages to zero
+    and nothing reads them (see PerturbativeState).
     """
-    resolvent = DeflatedResolvent(free, rho0)
+    return _corrections(DeflatedResolvent(free, rho0), v_plus, v_minus, rho0)
+
+
+def _corrections(
+    resolvent: DeflatedResolvent,
+    v_plus: np.ndarray,
+    v_minus: np.ndarray,
+    rho0: np.ndarray,
+) -> PerturbativeState:
+    """perturbative_corrections with the deflated resolvent of the free
+    generator given."""
 
     def push(v: np.ndarray, state: np.ndarray) -> np.ndarray:
         return -(v @ state.reshape(-1))
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        return resolvent.solve(0.0, rhs).reshape(HILBERT_DIM, HILBERT_DIM)
-
-    rho_10 = solve(push(v_plus, rho0))
-    rho_01 = solve(push(v_minus, rho0))
-    rho_11 = solve(push(v_plus, rho_01) + push(v_minus, rho_10))
+    first = resolvent.solve(0.0, np.stack([push(v_plus, rho0), push(v_minus, rho0)], axis=1))
+    rho_10, rho_01 = np.ascontiguousarray(first.T).reshape(2, HILBERT_DIM, HILBERT_DIM)
+    rho_11 = resolvent.solve(0.0, push(v_plus, rho_01) + push(v_minus, rho_10)).reshape(
+        HILBERT_DIM, HILBERT_DIM
+    )
 
     orders = {(0, 0): rho0, (1, 0): rho_10, (0, 1): rho_01, (1, 1): rho_11}
     for key, state in orders.items():
@@ -351,11 +405,21 @@ def perturbative_corrections(
 
 
 def build_expansion(params: PhysParams, cfg: Configuration) -> PerturbativeState:
-    """Convenience pipeline: generators, zeroth order, corrections."""
+    """Generators, zeroth order and corrections in one sector pass.
+
+    The free generator is split into its sectors once and each sector
+    block is gathered once, for the steady state and the resolvent alike;
+    the result equals perturbative_corrections(free, v_plus, v_minus,
+    zeroth_steady_state(free)) bit for bit.
+    """
+    # both generators are allocated before the sector pass: allocating
+    # V+- after it, with the free generator alive, raised the peak memory
+    # of a long run of expansions by about 2 MiB
     free = free_generator(params, cfg.phi_L)
     v_plus, v_minus = exchange_generators(cfg.n_hat, params.gamma)
-    rho0 = zeroth_steady_state(free)
-    return perturbative_corrections(free, v_plus, v_minus, rho0)
+    groups = _sector_blocks(free)
+    rho0 = _steady_state(free, groups)
+    return _corrections(DeflatedResolvent._from_blocks(groups, rho0), v_plus, v_minus, rho0)
 
 
 def checked_geometry_weight(weight: float) -> float:

@@ -10,6 +10,7 @@ from cbs2 import oracle
 from cbs2.generators import (
     HILBERT_DIM,
     LIOUVILLE_DIM,
+    exchange_generators,
     free_generator,
     partial_trace,
     transition_operator,
@@ -18,12 +19,14 @@ from cbs2.geometry import Configuration, PhysParams
 from cbs2.perturbation import (
     DeflatedResolvent,
     DegeneracyError,
+    _sectors_of,
     _trace_row_solve,
     build_expansion,
     intensity_terms,
     mean_dipole_orders,
     nonperturbative_intensity,
     numeric_enhancement,
+    perturbative_corrections,
     zeroth_steady_state,
 )
 
@@ -136,6 +139,32 @@ def test_traceless_solver_contract():
         assert abs(np.trace(x)) < 1e-10
         residual = apply(free, x) - rhs
         assert np.max(np.abs(residual)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
+
+
+@pytest.mark.parametrize(
+    "n_hat", [(1.0, 0.0, 0.0), (0.36, -0.48, 0.8)], ids=["x-axis", "oblique"]
+)
+@pytest.mark.parametrize("phi_L", [0.0, 1.7])
+@pytest.mark.parametrize("delta", [0.0, 3.0])
+@pytest.mark.parametrize("omega", [0.5, 1.0, 10.0])
+def test_build_expansion_equals_public_constituents(omega, delta, phi_L, n_hat):
+    # omega = 0.5 and 1 are the exceptional points Omega = gamma/2 and
+    # Omega = gamma.  build_expansion splits the free generator into its
+    # sectors once and shares the gathered blocks between steady state and
+    # resolvent; the public calls split it once each.  Every order agrees
+    # bit for bit.
+    params = PhysParams(omega=omega, delta=delta)
+    cfg = Configuration(n_hat=np.array(n_hat), phi_L=phi_L)
+    before = _sectors_of.cache_info()
+    pert = build_expansion(params, cfg)
+    after = _sectors_of.cache_info()
+    assert (after.hits + after.misses) - (before.hits + before.misses) == 1
+    free = free_generator(params, phi_L)
+    v_plus, v_minus = exchange_generators(cfg.n_hat, params.gamma)
+    want = perturbative_corrections(free, v_plus, v_minus, zeroth_steady_state(free))
+    assert pert.orders.keys() == want.orders.keys()
+    for key, state in want.orders.items():
+        assert pert[key].tobytes() == state.tobytes(), key
 
 
 def test_corrections_traceless_and_conjugation_paired(expansion_s1):

@@ -197,6 +197,56 @@ def test_resolvent_pole_only_in_reached_sectors(free_and_rho0):
     assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize(
+    "z", [0.0, pytest.param(np.array([-2.0j, -0.5j, 0.0, 0.5j, 3.0j]), id="five-shifts")]
+)
+def test_multi_column_solve_equals_one_column_solves(free_and_rho0, z):
+    # a k-column solve gives each column of k one-column solves bit for
+    # bit, signed zeros included, also where the columns reach different
+    # sectors, as the two first orders of the expansion do: each column
+    # keeps its B on the sectors it does not reach
+    free, rho0 = free_and_rho0
+    v_plus, v_minus = exchange_generators(np.array([0.36, -0.48, 0.8]))
+    block = np.stack(
+        [
+            -(v_plus @ rho0.reshape(-1)),
+            -(v_minus @ rho0.reshape(-1)),
+            random_traceless(np.random.default_rng(15)).reshape(-1),
+        ],
+        axis=1,
+    )
+    assert not np.array_equal(block[:, 0] != 0, block[:, 1] != 0)
+    resolvent = DeflatedResolvent(free, rho0)
+    x = resolvent.solve(z, block)
+    for k in range(block.shape[1]):
+        assert x[..., k].tobytes() == resolvent.solve(z, block[:, k]).tobytes(), k
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "bad, z, per_shift",
+    [
+        (np.nan, 0.0, False),
+        (np.inf, 0.5j, False),
+        (np.nan, np.array([0.5j, 0.0, -1.0j]), False),
+        (np.inf, np.array([0.5j, 0.0, -1.0j]), True),
+    ],
+    ids=["nan-at-0", "inf-at-0.5j", "nan-shared-by-shifts", "inf-in-one-shift"],
+)
+def test_resolvent_refuses_non_finite_right_hand_side(free_and_rho0, bad, z, per_shift):
+    # named as such before any solve, and with no warning on the way; a
+    # pole error would name a wrong cause
+    free, rho0 = free_and_rho0
+    src = random_traceless(np.random.default_rng(16)).reshape(-1, 1)
+    if per_shift:
+        src = np.repeat(src[None], z.size, axis=0)
+        src[-1, 17] = bad
+    else:
+        src[17] = bad
+    with pytest.raises(ValueError, match="right-hand side has non-finite entries"):
+        DeflatedResolvent(free, rho0).solve(z, src)
+
+
 def connected_sectors(matrix):
     """The sectors of _sectors as a set of index tuples, straight from
     connected_components on the pattern with the trace row joined."""
