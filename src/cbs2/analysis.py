@@ -10,6 +10,7 @@ integrated intensity within its window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,9 @@ def _window_nodes(window: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _validate_window(spec: SpectrumResult, center: float, window: float) -> None:
+    # NaN passes every comparison below
+    if not (math.isfinite(center) and math.isfinite(window)):
+        raise ValueError(f"center and window must be finite, got {center}, {window}")
     if window < MIN_WINDOW:
         raise ValueError(f"window must be at least {MIN_WINDOW} gamma")
     omega = spec.omega / spec.gamma

@@ -12,12 +12,14 @@ Operator-space conventions: two-atom operators live on the 16-dimensional
 product space with the atom-1 index outermost (kron(A1, A2)).  Density
 matrices are vectorized row-major, so a superoperator acting as
 rho -> A rho B has matrix kron(A, B.T); spre, spost and sandwich build
-such superoperators.
+such superoperators, with np.kron or with a Kronecker product evaluated
+on chosen entries only.
 
 Both generators are linear in their parameters, are filled from bases
-built once from spre, spost and sandwich, and are dense complex
-256 x 256 arrays.  The stationary trace constraint is handled by the
-solvers, not by deflating the generator itself.
+built once from spre, spost and sandwich on the entries their Kronecker
+products reach, and are dense complex 256 x 256 arrays.  The stationary
+trace constraint is handled by the solvers, not by deflating the
+generator itself.
 """
 
 from __future__ import annotations
@@ -100,37 +102,58 @@ def dipole_components(atom: int) -> np.ndarray:
     return comps
 
 
-def spre(op: np.ndarray) -> np.ndarray:
+def spre(op: np.ndarray, kron=np.kron) -> np.ndarray:
     """Superoperator for left multiplication, rho -> op rho."""
-    return np.kron(op, np.eye(op.shape[0], dtype=complex))
+    return kron(op, np.eye(op.shape[0], dtype=complex))
 
 
-def spost(op: np.ndarray) -> np.ndarray:
+def spost(op: np.ndarray, kron=np.kron) -> np.ndarray:
     """Superoperator for right multiplication, rho -> rho op."""
-    return np.kron(np.eye(op.shape[0], dtype=complex), op.T)
+    return kron(np.eye(op.shape[0], dtype=complex), op.T)
 
 
-def sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def sandwich(left: np.ndarray, right: np.ndarray, kron=np.kron) -> np.ndarray:
     """Superoperator for rho -> left rho right."""
-    return np.kron(left, right.T)
+    return kron(left, right.T)
 
 
-def _linear_basis(generators) -> tuple[np.ndarray, np.ndarray]:
+def _linear_basis(parts) -> tuple[np.ndarray, np.ndarray]:
     """The k x m array whose row r holds the entries of generator r on the
     m flat positions (row-major, sorted) that any of the k generators
-    reaches, and those positions.  Each generator is cut to its nonzero
-    entries as soon as the iterable yields it, so that a lazy iterable
-    keeps only a few 256 x 256 temporaries at once.  Both arrays are
-    read-only."""
-    cut = []
-    for g in generators:
-        flat = np.flatnonzero(g)
-        cut.append((flat, g.reshape(-1)[flat]))
-    flat = np.unique(np.concatenate([positions for positions, _ in cut]))
-    basis = np.zeros((len(cut), flat.size), dtype=complex)
-    for row, (positions, values) in zip(basis, cut):
-        row[np.searchsorted(flat, positions)] = values
-    return _read_only(basis), _read_only(flat)
+    reaches, and those positions; rows hold +0.0 where their generator
+    has no entry.  parts(kron) yields the k generators written with the
+    16 x 16 Kronecker product kron.  A first pass finds the positions
+    that the nonzero entries of the factors reach; the second evaluates
+    each product there alone, by the same elementwise multiply as
+    np.kron, so every entry equals that of the 256 x 256 construction
+    bit for bit.  Both arrays are read-only."""
+    reached = np.zeros(LIOUVILLE_DIM * LIOUVILLE_DIM, dtype=bool)
+
+    def reach(left: np.ndarray, right: np.ndarray) -> float:
+        # flat position of kron entry (i, j), (k, l): (16 i + k) 256 + 16 j + l;
+        # 0.0 stands for the product, so that the parts' sums still run
+        (i, j), (k, l) = np.nonzero(left), np.nonzero(right)
+        outer = i * (HILBERT_DIM * LIOUVILLE_DIM) + j * HILBERT_DIM
+        reached[outer[:, None] + k * LIOUVILLE_DIM + l] = True
+        return 0.0
+
+    for _ in parts(reach):
+        pass
+    flat = np.flatnonzero(reached)
+    outer_row, inner_row = np.divmod(flat // LIOUVILLE_DIM, HILBERT_DIM)
+    outer_col, inner_col = np.divmod(flat % LIOUVILLE_DIM, HILBERT_DIM)
+
+    def kron(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        return left[outer_row, outer_col] * right[inner_row, inner_col]
+
+    basis = np.stack(list(parts(kron)))
+    # a reached position where every generator cancels to zero is no entry;
+    # compress keeps the rows C-contiguous, which _combine's sum relies on
+    kept = np.any(basis != 0, axis=0)
+    basis = basis.compress(kept, axis=1)
+    # a -0.0 from a product or sum of signed zeros is no entry either
+    basis[basis == 0] = 0.0
+    return _read_only(basis), _read_only(flat[kept])
 
 
 def _combine(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -148,19 +171,19 @@ def _free_basis() -> tuple[np.ndarray, np.ndarray]:
     pairs = [(atom, level) for atom in (1, 2) for level in EXCITED_LEVELS]
     # H holds delta times the number of excited atoms
     excited = sum(transition_operator(*pair, "projector") for pair in pairs)
+    lowering = [transition_operator(*pair, "lowering") for pair in pairs]
 
-    def parts():
-        pre, post = spre(excited), spost(excited)
-        lowering = [transition_operator(*pair, "lowering") for pair in pairs]
-        yield 2.0 * sum(sandwich(op, op.conj().T) for op in lowering) - pre - post
+    def parts(kron):
+        pre, post = spre(excited, kron), spost(excited, kron)
+        yield 2.0 * sum(sandwich(op, op.conj().T, kron) for op in lowering) - pre - post
         yield 1j * (pre - post)
         # H holds -(d s_41 + conj(d) s_14) / 2, and L = i (spre(H) - spost(H))
         for atom in (1, 2):
             for kind in ("raising", "lowering"):
                 op = transition_operator(atom, 4, kind)
-                yield -0.5j * (spre(op) - spost(op))
+                yield -0.5j * (spre(op, kron) - spost(op, kron))
 
-    return _linear_basis(parts())
+    return _linear_basis(parts)
 
 
 def free_generator(params: PhysParams, phi_L: float = 0.0) -> np.ndarray:
@@ -190,20 +213,20 @@ def _exchange_basis() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     e_i e_j^T, row 3 i + j for e_i e_j^T."""
     dips = {1: dipole_components(1), 2: dipole_components(2)}
 
-    def plus(d_a, d_b, i, j):
+    def plus(d_a, d_b, i, j, kron):
         dag = d_a[i].conj().T
-        return sandwich(d_b[j], dag) - spost(dag @ d_b[j])
+        return sandwich(d_b[j], dag, kron) - spost(dag @ d_b[j], kron)
 
-    def minus(d_a, d_b, i, j):
+    def minus(d_a, d_b, i, j, kron):
         dag = d_b[i].conj().T
-        return sandwich(d_a[j], dag) - spre(dag @ d_a[j])
+        return sandwich(d_a[j], dag, kron) - spre(dag @ d_a[j], kron)
 
-    def rows(term):
+    def rows(term, kron):
         for i in range(3):
             for j in range(3):
-                yield sum(term(dips[a], dips[b], i, j) for a, b in ((1, 2), (2, 1)))
+                yield sum(term(dips[a], dips[b], i, j, kron) for a, b in ((1, 2), (2, 1)))
 
-    return _linear_basis(rows(plus)), _linear_basis(rows(minus))
+    return tuple(_linear_basis(functools.partial(rows, term)) for term in (plus, minus))
 
 
 def exchange_generators_from_tensor(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -76,7 +76,7 @@ def _sectors_of(packed: bytes) -> tuple[np.ndarray, ...]:
     sizes = np.bincount(labels, minlength=LIOUVILLE_DIM)
     sectors = tuple(
         np.stack([np.flatnonzero(labels == c) for c in np.flatnonzero(sizes == size)])
-        for size in np.unique(sizes[sizes > 0])
+        for size in np.flatnonzero(np.bincount(sizes)[1:]) + 1
     )
     for array in sectors:
         array.flags.writeable = False

@@ -202,9 +202,9 @@ class SpectrumEngine:
         for column, (a, key) in enumerate((a, key) for a in (1, 2) for key in cuts):
             stage1[cuts[key], column] = sources[a][key].reshape(-1)[cuts[key]]
         # the read rows are kept even where s11 vanishes, to read y11 off
-        self._stage1 = resolvent.restricted(
-            np.union1d(read, np.flatnonzero(np.any(stage1 != 0, axis=1)))
-        )
+        kept = np.any(stage1 != 0, axis=1)
+        kept[read] = True
+        self._stage1 = resolvent.restricted(np.flatnonzero(kept))
         rows = self._stage1.rows
         self._sources = stage1[rows]
         self._y11_rows = np.searchsorted(rows, read)

@@ -106,6 +106,22 @@ def test_window_validation(oracle_strong):
         window_stats(oracle_strong, "banana", 0.0, 25.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec, center, window: window_stats(spec, "ladder", center, window),
+        lambda spec, center, window: analyze_peak(spec, "crossed", center, window),
+        lambda spec, center, window: filtered_enhancement(spec, center, window),
+    ],
+    ids=["window_stats", "analyze_peak", "filtered_enhancement"],
+)
+@pytest.mark.parametrize("center, window", [(np.nan, 25.0), (OMEGA, np.nan), (np.nan, np.nan)])
+def test_non_finite_window_is_refused(oracle_strong, call, center, window):
+    # NaN passes every range comparison, so it would give a NaN result
+    with pytest.raises(ValueError, match="finite"):
+        call(oracle_strong, center, window)
+
+
 def test_parity_split_is_normalized(oracle_strong):
     weight, abs_int, even, odd = window_stats(oracle_strong, "crossed", OMEGA, 25.0)
     assert abs_int >= abs(weight)

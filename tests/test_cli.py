@@ -23,24 +23,36 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_import_leaves_out_scipy_interpolate():
-    # every CLI call imports the package, and importing scipy would be most
-    # of its time; only window_stats and the spline quadrature of
-    # integrate_spectrum need scipy.  In a fresh interpreter, the import
-    # and the enhancement, spectrum and Monte-Carlo paths load no scipy
-    # module.
+def after_default_path(expression):
+    """The value of expression, printed by a fresh interpreter after it has
+    run the import and the enhancement, spectrum and Monte-Carlo paths."""
     code = (
         "import sys, numpy as np, cbs2\n"
         "params, cfg = cbs2.PhysParams(omega=1.0), cbs2.Configuration()\n"
         "cbs2.numeric_enhancement(params, cfg)\n"
         "cbs2.SpectrumEngine(params, cfg).densities(np.linspace(-5.0, 5.0, 41))\n"
         "cbs2.mc_average(cbs2.AverageSpec(samples=1000))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"print({expression})\n"
     )
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    ).stdout.strip()
+
+
+def test_import_leaves_out_scipy_interpolate():
+    # every CLI call imports the package, and importing scipy would be most
+    # of its time; only window_stats and the spline quadrature of
+    # integrate_spectrum need scipy.  In a fresh interpreter, the import
+    # and the enhancement, spectrum and Monte-Carlo paths load no scipy
+    # module.
+    modules = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    assert after_default_path(modules) == "[]"
+
+
+def test_default_path_leaves_out_numpy_ma():
+    # np.unique and np.union1d import numpy.ma on their first call, which
+    # costs about 20 ms per process; the same paths must not load it
+    assert after_default_path("'numpy.ma' in sys.modules") == "False"
 
 
 def test_version(capsys):

@@ -309,6 +309,62 @@ def test_exchange_generators_return_own_arrays():
             assert np.array_equal(v, dense)
 
 
+def dense_linear_basis(generators):
+    """The bases built from whole 256 x 256 generators: each cut to its
+    nonzero entries, on the sorted union of their positions, in rows that
+    are zero-filled elsewhere."""
+    cut = [(np.flatnonzero(g), g.reshape(-1)[np.flatnonzero(g)]) for g in generators]
+    flat = np.unique(np.concatenate([positions for positions, _ in cut]))
+    basis = np.zeros((len(cut), flat.size), dtype=complex)
+    for row, (positions, values) in zip(basis, cut):
+        row[np.searchsorted(flat, positions)] = values
+    return basis, flat
+
+
+def dense_free_parts():
+    eye = np.eye(HILBERT_DIM, dtype=complex)
+    pairs = [(atom, level) for atom in (1, 2) for level in EXCITED_LEVELS]
+    excited = sum(transition_operator(*pair, "projector") for pair in pairs)
+    pre, post = np.kron(excited, eye), np.kron(eye, excited.T)
+    lowering = [transition_operator(*pair, "lowering") for pair in pairs]
+    yield 2.0 * sum(np.kron(op, op.conj()) for op in lowering) - pre - post
+    yield 1j * (pre - post)
+    for atom in (1, 2):
+        for kind in ("raising", "lowering"):
+            op = transition_operator(atom, 4, kind)
+            yield -0.5j * (np.kron(op, eye) - np.kron(eye, op.T))
+
+
+def dense_exchange_rows(sign):
+    """V_plus (sign +1) or V_minus (sign -1) for each unit tensor e_i e_j^T."""
+    eye = np.eye(HILBERT_DIM, dtype=complex)
+    dips = {1: dipole_components(1), 2: dipole_components(2)}
+
+    def term(d_a, d_b, i, j):
+        if sign > 0:
+            dag = d_a[i].conj().T
+            return np.kron(d_b[j], dag.T) - np.kron(eye, (dag @ d_b[j]).T)
+        dag = d_b[i].conj().T
+        return np.kron(d_a[j], dag.T) - np.kron(dag @ d_a[j], eye)
+
+    for i in range(3):
+        for j in range(3):
+            yield sum(term(dips[a], dips[b], i, j) for a, b in ((1, 2), (2, 1)))
+
+
+def test_bases_equal_dense_kron_construction():
+    # values and flat positions bit for bit, so that the signs of zeros
+    # are pinned too: a basis row holds +0.0 where it has no entry
+    want = [dense_linear_basis(dense_free_parts())]
+    want += [dense_linear_basis(dense_exchange_rows(sign)) for sign in (1, -1)]
+    for (basis, flat), (want_basis, want_flat) in zip([_free_basis(), *_exchange_basis()], want):
+        assert basis.shape == want_basis.shape
+        # C order: the generators sum the rows one after the other
+        assert basis.flags.c_contiguous
+        assert basis.tobytes() == want_basis.tobytes()
+        assert flat.tobytes() == want_flat.tobytes()
+
+
 def test_cached_generator_structure_is_read_only():
     basis = [array for pair in [*_exchange_basis(), _free_basis()] for array in pair]
     cached = [
