@@ -22,7 +22,7 @@ from .generators import (
     free_generator,
     partial_trace,
 )
-from .geometry import Configuration, PhysParams, exchange_coupling
+from .geometry import Configuration, PhysParams
 from .oracle import (
     elastic_terms,
     enhancement_factor,
@@ -78,7 +78,6 @@ __all__ = [
     "default_frequency_grid",
     "elastic_terms",
     "enhancement_factor",
-    "exchange_coupling",
     "exchange_generators",
     "filtered_enhancement",
     "free_generator",

@@ -63,8 +63,8 @@ def angular_factor(theta: float, k_ell: float) -> tuple[float, float]:
     acquires the quadratic fringe reduction -(k_ell * theta)^2 / 35.
     """
     _check_theta(theta)
-    if not math.isfinite(k_ell):
-        raise ValueError(f"k_ell must be finite, got {k_ell}")
+    if not (math.isfinite(k_ell) and k_ell > 0):
+        raise ValueError(f"k_ell must be positive and finite, got {k_ell}")
     x = k_ell * theta
     if x > SMALL_ANGLE_LIMIT:
         warnings.warn(

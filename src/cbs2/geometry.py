@@ -15,21 +15,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 SQRT2 = math.sqrt(2.0)
-
-#: Minimum admissible reduced interatomic distance.  Below roughly one
-#: wavelength the far-field (radiation zone) form of the exchange coupling
-#: stops being a controlled approximation.
-MIN_K0R = 10.0
-
-#: Below this reduced distance a warning is issued: far-field corrections
-#: of relative order 1/(k0 r) are no longer comfortably small.
-FARFIELD_SAFE_K0R = 50.0
 
 
 def helicity_unit_vector(q: int) -> np.ndarray:
@@ -54,28 +44,6 @@ def transverse_projector(n_hat: np.ndarray) -> np.ndarray:
     if not abs(np.linalg.norm(n) - 1.0) <= 1e-9:
         raise ValueError("n_hat must be a unit vector (|n| - 1 within 1e-9)")
     return np.eye(3) - np.outer(n, n)
-
-
-def exchange_coupling(k0_r: float) -> complex:
-    """Far-field photon-exchange coupling between the two atoms.
-
-    Scalar prefactor of the transverse projector in the exchange part of
-    the master equation: (3i / (2 k0 r)) * exp(i k0 r).  Dimensionless;
-    modulus 3/(2 k0 r).
-    """
-    if not math.isfinite(k0_r):
-        raise ValueError(f"k0_r must be finite, got {k0_r}")
-    if k0_r < MIN_K0R:
-        raise ValueError(
-            f"k0_r = {k0_r} below the far-field validity floor {MIN_K0R}"
-        )
-    if k0_r < FARFIELD_SAFE_K0R:
-        warnings.warn(
-            f"k0_r = {k0_r} is close to the far-field validity floor; "
-            "near-field corrections are only suppressed by 1/(k0 r)",
-            stacklevel=2,
-        )
-    return (1.5j / k0_r) * complex(math.cos(k0_r), math.sin(k0_r))
 
 
 def transverse_helicity_element(n_hat: np.ndarray) -> complex:
@@ -132,16 +100,13 @@ class PhysParams:
 class Configuration:
     """Geometry of one realization of the atom pair.
 
-    n_hat is the interatomic direction, k0_r the reduced distance between
-    the atoms, ell_k0 the reduced mean distance used by the configuration
-    average, theta the detection angle away from exact backscattering and
-    phi_L the accumulated laser phase difference between the two atoms.
+    n_hat is the interatomic direction and phi_L the accumulated laser
+    phase difference between the two atoms.  Outputs are quoted at exact
+    backscattering with |g|^2 divided out, so neither the distance nor the
+    detection angle enters them; averaging over both is mc_average's.
     """
 
     n_hat: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
-    k0_r: float = 1000.0
-    ell_k0: float = 1000.0
-    theta: float = 0.0
     phi_L: float = 0.0
 
     def __post_init__(self):
@@ -153,27 +118,7 @@ class Configuration:
         if abs(np.linalg.norm(n) - 1.0) > 1e-12:
             raise ValueError("n_hat must be a unit vector (|n| - 1 within 1e-12)")
         object.__setattr__(self, "n_hat", n)
-        require_finite(self, "k0_r", "ell_k0", "theta", "phi_L")
-        if self.k0_r < MIN_K0R:
-            raise ValueError(
-                f"k0_r = {self.k0_r} below the far-field validity floor {MIN_K0R}"
-            )
-        if self.k0_r < FARFIELD_SAFE_K0R:
-            warnings.warn(
-                f"k0_r = {self.k0_r} is close to the far-field validity floor",
-                stacklevel=2,
-            )
-        if self.ell_k0 < MIN_K0R:
-            raise ValueError("ell_k0 below the far-field validity floor")
-        if self.theta < 0:
-            raise ValueError("theta must be non-negative")
-
-    @property
-    def coupling(self) -> complex:
-        """Exchange coupling evaluated at this configuration's distance."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return exchange_coupling(self.k0_r)
+        require_finite(self, "phi_L")
 
     @property
     def geometry_weight(self) -> float:

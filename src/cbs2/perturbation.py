@@ -18,7 +18,7 @@ at z = 0.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,11 +26,18 @@ from .generators import (
     HILBERT_DIM,
     LIOUVILLE_DIM,
     TRACE_VECTOR,
+    _read_only,
     exchange_generators,
     free_generator,
     transition_operator,
 )
 from .geometry import Configuration, PhysParams
+
+
+#: Coupling modulus and number of coupling phases of the ring on which
+#: nonperturbative_intensity solves the coupled steady state.
+RING_COUPLING = 1e-3
+RING_PHASES = 8
 
 
 class DegeneracyError(RuntimeError):
@@ -437,11 +444,11 @@ def checked_geometry_weight(weight: float) -> float:
 class IntensityTerms:
     """Backscattered intensity at combined order g * conj(g).
 
-    Values are quoted with the squared coupling modulus |g|^2 divided out.
-    The orientation factor |e_{+1}.Delta.e_{+1}|^2 is still contained in
-    the values and also recorded in geometry_weight; phase_cos records the
-    crossed-term fringe factor cos((k + k_L) . r_12), which is 1 at exact
-    backscattering where the internal assembly is performed.
+    Values are quoted with the squared coupling modulus |g|^2 divided out
+    and are assembled at exact backscattering; the angular dependence of
+    the crossed term is mc_average's.  The orientation factor
+    |e_{+1}.Delta.e_{+1}|^2 is still contained in the values and also
+    recorded in geometry_weight.
     """
 
     ladder_total: float
@@ -451,22 +458,24 @@ class IntensityTerms:
     ladder_inelastic: float
     crossed_inelastic: float
     geometry_weight: float
-    phase_cos: float
 
     def normalized(self) -> "IntensityTerms":
         """Divide out the orientation factor; the isotropic configuration
         average is then value * 2/15 in units of |g at the mean distance|^2."""
         w = checked_geometry_weight(self.geometry_weight)
-        return IntensityTerms(
-            ladder_total=self.ladder_total / w,
-            crossed_total=self.crossed_total / w,
-            ladder_elastic=self.ladder_elastic / w,
-            crossed_elastic=self.crossed_elastic / w,
-            ladder_inelastic=self.ladder_inelastic / w,
-            crossed_inelastic=self.crossed_inelastic / w,
-            geometry_weight=1.0,
-            phase_cos=self.phase_cos,
-        )
+        # every field, geometry_weight included: w / w is 1.0 exactly
+        return IntensityTerms(*(getattr(self, f.name) / w for f in fields(self)))
+
+
+@functools.cache
+def _detected_operators() -> tuple[np.ndarray, np.ndarray]:
+    """The operators of the detected channel, cached and read-only: the
+    populations of the detected level summed over both atoms (ladder) and
+    the raising dipole of atom 1 times the lowering dipole of atom 2
+    (crossed)."""
+    populations = transition_operator(1, 2, "projector") + transition_operator(2, 2, "projector")
+    cross_op = transition_operator(1, 2, "raising") @ transition_operator(2, 2, "lowering")
+    return _read_only(populations), _read_only(cross_op)
 
 
 def mean_dipole_orders(pert: PerturbativeState, atom: int) -> dict:
@@ -498,13 +507,8 @@ def intensity_terms(pert: PerturbativeState, cfg: Configuration) -> IntensityTer
             f"order (1, 1) is not Hermitian: defect {defect:.3e} of norm "
             f"{np.linalg.norm(rho_11):.3e}"
         )
-    proj_1 = transition_operator(1, 2, "projector")
-    proj_2 = transition_operator(2, 2, "projector")
-    ladder_total = np.trace((proj_1 + proj_2) @ rho_11).real
-
-    cross_op = transition_operator(1, 2, "raising") @ transition_operator(
-        2, 2, "lowering"
-    )
+    populations, cross_op = _detected_operators()
+    ladder_total = np.trace(populations @ rho_11).real
     crossed_total = 2.0 * (complex(np.trace(cross_op @ rho_11)) * phase).real
 
     d1 = mean_dipole_orders(pert, 1)
@@ -523,51 +527,45 @@ def intensity_terms(pert: PerturbativeState, cfg: Configuration) -> IntensityTer
         ladder_inelastic=ladder_total - ladder_elastic,
         crossed_inelastic=crossed_total - crossed_elastic,
         geometry_weight=cfg.geometry_weight,
-        phase_cos=1.0 if cfg.theta == 0 else float(np.cos(
-            2.0 * cfg.k0_r * np.sin(0.5 * cfg.theta) * cfg.n_hat[0]
-        )),
     )
 
 
 def numeric_enhancement(params: PhysParams, cfg: Configuration) -> float:
     """Backscattering enhancement factor 1 + crossed/ladder from the
-    master-equation expansion."""
+    master-equation expansion.  A ladder total that is not positive (an
+    undriven pair scatters no light) raises ValueError."""
     checked_geometry_weight(cfg.geometry_weight)
     terms = intensity_terms(build_expansion(params, cfg), cfg)
+    if not terms.ladder_total > 0:
+        raise ValueError(
+            f"ladder total {terms.ladder_total:.3e} is not positive: no light is scattered"
+        )
     return 1.0 + terms.crossed_total / terms.ladder_total
 
 
-def nonperturbative_intensity(
-    params: PhysParams,
-    cfg: Configuration,
-    g_mag: float = 1e-3,
-    n_phases: int = 8,
-) -> tuple[float, float]:
+def nonperturbative_intensity(params: PhysParams, cfg: Configuration) -> tuple[float, float]:
     """Order-(1, 1) intensities extracted without perturbation theory.
 
-    Solves the full coupled steady state on a ring of exchange-coupling
-    phases and isolates the phase-neutral Fourier component, which equals
-    the (1, 1) coefficient up to relative corrections of order g_mag^2.
-    Returns (ladder_total, crossed_total) in units of |g|^2.
+    Solves the full coupled steady state on a ring of RING_PHASES
+    exchange-coupling phases and isolates the phase-neutral Fourier
+    component, which equals the (1, 1) coefficient up to relative
+    corrections of order RING_COUPLING^2.  Returns (ladder_total,
+    crossed_total) in units of |g|^2.
     """
     free = free_generator(params, cfg.phi_L)
     v_plus, v_minus = exchange_generators(cfg.n_hat, params.gamma)
-    proj_sum = (
-        transition_operator(1, 2, "projector") + transition_operator(2, 2, "projector")
-    ).reshape(-1)
-    cross_op = (
-        transition_operator(1, 2, "raising") @ transition_operator(2, 2, "lowering")
-    )
+    populations, cross_op = _detected_operators()
+    proj_sum = populations.reshape(-1)
     cross_vec = cross_op.T.reshape(-1)
 
     ladder_acc = 0.0
     cross_acc = 0.0 + 0.0j
-    for k in range(n_phases):
-        g = g_mag * np.exp(2j * np.pi * k / n_phases)
+    for k in range(RING_PHASES):
+        g = RING_COUPLING * np.exp(2j * np.pi * k / RING_PHASES)
         rho = _trace_row_solve(free + g * v_plus + np.conj(g) * v_minus)
         ladder_acc += (proj_sum @ rho).real
         cross_acc += cross_vec @ rho
-    ladder = ladder_acc / n_phases / g_mag**2
-    t_pair = cross_acc / n_phases / g_mag**2
+    ladder = ladder_acc / RING_PHASES / RING_COUPLING**2
+    t_pair = cross_acc / RING_PHASES / RING_COUPLING**2
     crossed = 2.0 * (t_pair * np.exp(1j * cfg.phi_L)).real
     return ladder, crossed

@@ -27,6 +27,9 @@ def test_angular_factor_examples():
 def test_angular_factor_guards():
     with pytest.raises(ValueError):
         angular_factor(-1e-3, 1000.0)
+    for k_ell in (0.0, -5.0):
+        with pytest.raises(ValueError, match="k_ell must be positive"):
+            angular_factor(0.1, k_ell)
     with pytest.warns(UserWarning):
         angular_factor(1e-3, 1000.0)  # k ell theta = 1 > 0.5
 

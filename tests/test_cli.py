@@ -14,8 +14,6 @@ import pytest
 
 from cbs2.cli import main
 
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
-
 
 def run(capsys, *argv):
     code = main(list(argv))

@@ -1,12 +1,9 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from cbs2.geometry import (
     Configuration,
     PhysParams,
-    exchange_coupling,
     helicity_unit_vector,
     transverse_helicity_element,
     transverse_projector,
@@ -57,33 +54,6 @@ def test_projector_rejects_non_unit():
     for n_hat in ((1.0, 1.0, 0.0), (np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0)):
         with pytest.raises(ValueError):
             transverse_projector(np.array(n_hat))
-
-
-def test_coupling_value_at_10():
-    with pytest.warns(UserWarning):
-        g = exchange_coupling(10.0)
-    np.testing.assert_allclose(
-        g, 0.08160316663340547 - 0.12586072936146785j, rtol=1e-14
-    )
-
-
-def test_coupling_modulus_and_phase(rng):
-    for k0r in (10.0, 17.3, 250.0, 1e4):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            g = exchange_coupling(k0r)
-        np.testing.assert_allclose(abs(g), 1.5 / k0r, rtol=1e-13)
-        phase = (np.angle(g) - (np.pi / 2 + k0r)) % (2 * np.pi)
-        # wrap error grows with k0r * eps
-        assert min(phase, 2 * np.pi - phase) < 1e-12 * max(1.0, k0r)
-
-
-def test_coupling_far_field_guard():
-    for k0_r in (5.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            exchange_coupling(k0_r)
-    with pytest.warns(UserWarning):
-        exchange_coupling(20.0)
 
 
 def test_transverse_helicity_element_examples():
@@ -141,7 +111,7 @@ def test_from_saturation_refuses_non_finite(s, kwargs):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("name", ["k0_r", "ell_k0", "theta", "phi_L"])
+@pytest.mark.parametrize("name", ["phi_L"])
 def test_configuration_refuses_non_finite(name, bad):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         Configuration(**{name: bad})
@@ -153,11 +123,17 @@ def test_configuration_refuses_non_finite_direction(n_hat):
         Configuration(n_hat=n_hat)
 
 
-def test_configuration_weight_and_coupling():
+def test_configuration_weight():
     cfg = Configuration()
     np.testing.assert_allclose(cfg.geometry_weight, 0.25, atol=1e-15)
-    np.testing.assert_allclose(abs(cfg.coupling), 1.5 / cfg.k0_r, rtol=1e-13)
     with pytest.raises(ValueError):
         Configuration(n_hat=np.array([1.0, 1.0, 1.0]))
-    with pytest.raises(ValueError):
-        Configuration(theta=-0.1)
+
+
+@pytest.mark.parametrize("name", ["k0_r", "ell_k0", "theta"])
+def test_configuration_takes_no_distance_or_angle(name):
+    # distance and detection angle change no output of the engine, so the
+    # configuration refuses them instead of ignoring them; the angular
+    # average is mc_average's and its mean distance AverageSpec.ell_k0
+    with pytest.raises(TypeError):
+        Configuration(**{name: 1000.0})

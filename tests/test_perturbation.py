@@ -204,6 +204,13 @@ def test_undriven_expansion_vanishes():
     assert terms.crossed_total == pytest.approx(0.0, abs=1e-13)
 
 
+def test_numeric_enhancement_refuses_zero_drive():
+    # the undriven pair scatters no light, so 1 + crossed/ladder is 0/0;
+    # the parameters themselves stay valid
+    with pytest.raises(ValueError, match="no light is scattered"):
+        numeric_enhancement(PhysParams(omega=0.0), Configuration())
+
+
 def test_mean_dipole_order_structure(expansion_s1):
     for atom in (1, 2):
         d = mean_dipole_orders(expansion_s1, atom)
@@ -217,7 +224,6 @@ def test_frozen_intensity_values_at_s1(expansion_s1):
     assert terms.ladder_total == pytest.approx(LADDER_RAW_S1, rel=1e-10)
     assert terms.crossed_total == pytest.approx(CROSSED_RAW_S1, rel=1e-10)
     assert terms.geometry_weight == pytest.approx(0.25, abs=1e-14)
-    assert terms.phase_cos == 1.0
     norm = terms.normalized()
     assert norm.ladder_total == pytest.approx(LADDER_RAW_S1 / 0.25, rel=1e-12)
 
@@ -356,6 +362,6 @@ def test_nonperturbative_cross_check():
     params = PhysParams.from_saturation(1.0)
     ladder, crossed = nonperturbative_intensity(params, cfg)
     terms = intensity_terms(build_expansion(params, cfg), cfg)
-    # the ring solve carries O(g_mag^2) relative corrections
+    # the ring solve carries O(RING_COUPLING^2) relative corrections
     assert ladder == pytest.approx(terms.ladder_total, rel=1e-4)
     assert crossed == pytest.approx(terms.crossed_total, rel=1e-4)
