@@ -129,7 +129,7 @@ def _steady_state(gen: np.ndarray, groups) -> np.ndarray:
         np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for _, b in groups])
     )[::-1]
     scale = max(sv[0], 1.0)
-    if sv[-2] < 1e-8 * scale:
+    if not sv[-2] >= 1e-8 * scale:
         raise DegeneracyError(
             f"stationary subspace is degenerate (second singular value "
             f"{sv[-2]:.3e} vs scale {scale:.3e})"
@@ -211,9 +211,6 @@ class DeflatedResolvent:
         # sector indices into those vectors and the (count, dim, dim) stacks
         # of the diagonal blocks of L and of the deflated matrix
         self._trace, self.rows, self._groups = trace, rows, groups
-        self._order = np.concatenate([index.reshape(-1) for index, *_ in groups])
-        self._unorder = np.argsort(self._order)
-        self._eyes = [np.eye(index.shape[1]) for index, *_ in groups]
         # the sector number of each entry; the sectors of group g are
         # numbered from self._first[g] on
         self._sector = np.empty(rows.size, dtype=int)
@@ -265,19 +262,21 @@ class DeflatedResolvent:
         column keeps its B, all zeros, on the solved sectors it does not
         reach, so each column of X equals the solve of that column alone
         bit for bit.  A singular block raises ResolventPoleError only when
-        B reaches it; a NaN or infinite entry of B raises ValueError
-        before any solve.
+        B reaches it; a NaN or infinite shift or entry of B raises
+        ValueError before any solve.
         """
-        n = self.rows.size
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
+        if not np.isfinite(zs).all():
+            raise ValueError(f"shift must be finite, got z = {zs[~np.isfinite(zs)][0]}")
         b = np.asarray(rhs, dtype=complex)
         if not np.isfinite(b).all():
             raise ValueError("right-hand side has non-finite entries")
         tail = b.shape[1:] if b.ndim == 3 else b.shape
-        per_shift = b.reshape(-1, n, 1 if b.ndim == 1 else b.shape[-1])
-        stack = np.broadcast_to(per_shift, (zs.size,) + per_shift.shape[1:])
-        trace = np.abs(self._trace @ stack)
-        if np.any(trace > 1e-10 * np.maximum(np.linalg.norm(stack, axis=1), 1e-300)):
+        # one block per shift, or one that all shifts share; a shared block
+        # is checked once, not on each shift
+        b = b[None] if b.ndim == 2 else b[None, :, None] if b.ndim == 1 else b
+        trace = np.abs(self._trace @ b)
+        if np.any(trace > 1e-10 * np.maximum(np.linalg.norm(b, axis=1), 1e-300)):
             raise ValueError(
                 f"right-hand side must be traceless, trace = {np.max(trace):.3e}"
             )
@@ -285,41 +284,49 @@ class DeflatedResolvent:
         # live[s, c]: column c of B has a nonzero entry in sector s, for
         # some shift; the other columns keep their B there, signed zeros
         # included
-        live = np.zeros((self._first[-1], stack.shape[2]), dtype=bool)
-        entries, columns = np.nonzero(np.any(per_shift != 0, axis=0))
+        live = np.zeros((self._first[-1], b.shape[2]), dtype=bool)
+        entries, columns = np.nonzero(np.any(b != 0, axis=0))
         live[self._sector[entries], columns] = True
-        gathered = stack[:, self._order, :]
+        reached_sectors = live.any(axis=1)
+        # per size group, the columns live in any of its sectors: LAPACK
+        # gets only those
+        group_columns = [
+            np.flatnonzero(c) for c in np.logical_or.reduceat(live, self._first[:-1], axis=0)
+        ]
+        x = np.empty((zs.size,) + b.shape[1:], dtype=complex)
+        x[...] = b
         # squared norm of (L - z) X - B per shift: L is block diagonal in
         # the sectors and X and B are 0 outside the solved ones, so it adds
         # up over those
         squared = np.zeros(zs.size)
-        start = 0
-        for (index, blocks, deflated), first, eye in zip(self._groups, self._first, self._eyes):
+        for (index, blocks, deflated), first, used in zip(self._groups, self._first, group_columns):
             count, dim = index.shape
-            # a view: solutions written to it land in gathered
-            slab = gathered[:, start:start + index.size, :].reshape(zs.size, count, dim, -1)
-            start += index.size
-            reached = np.flatnonzero(live[first:first + count].any(axis=1))
-            if reached.size:
-                shift = zs[:, None, None, None]
-                b_r = slab[:, reached]
-                x_r = _batched_solve(deflated[reached] - shift * eye, b_r)
-                columns = live[first + reached][:, None, :]
-                if not columns.all():
-                    x_r = np.where(columns, x_r, b_r)
-                slab[:, reached] = x_r
-                # one product per sector, over all shifts and columns
-                lx = blocks[reached] @ x_r.transpose(1, 2, 0, 3).reshape(reached.size, dim, -1)
-                lx = lx.reshape(reached.size, dim, zs.size, -1).transpose(2, 0, 1, 3)
-                squared += np.sum(np.abs(lx - shift * x_r - b_r) ** 2, axis=(1, 2, 3))
-        # full-size (F, n, k) temporaries are freed or reused early, to
-        # keep a sweep chunk under glibc's trim threshold (spectrum.SWEEP_CHUNK)
-        x = gathered[:, self._unorder, :]
-        del gathered
+            reached = np.flatnonzero(reached_sectors[first:first + count])
+            if not reached.size:
+                continue
+            columns = live[first + reached][:, None, used]
+            rows = index[reached][:, :, None]
+            b_r = b[:, rows, used]
+            # one copy of the blocks per shift, then z off their diagonals;
+            # for the population block, the largest temporary of a sweep
+            # chunk (spectrum.SWEEP_CHUNK)
+            shifted = np.empty((zs.size, reached.size, dim, dim), dtype=complex)
+            shifted[...] = deflated[reached]
+            shifted.reshape(zs.size, reached.size, -1)[:, :, ::dim + 1] -= zs[:, None, None]
+            x_r = _batched_solve(shifted, b_r)
+            if not columns.all():
+                x_r = np.where(columns, x_r, b_r)
+            x[:, rows, used] = x_r
+            # one product per sector, over all shifts and columns
+            xt = x_r.transpose(1, 2, 0, 3)
+            lx = (blocks[reached] @ xt.reshape(reached.size, dim, -1)).reshape(xt.shape)
+            lx -= zs[:, None] * xt
+            lx -= b_r.transpose(1, 2, 0, 3)
+            squared += np.sum(np.abs(lx) ** 2, axis=(0, 1, 3))
 
         # the residual test also rejects non-finite input and output
         residual = np.sqrt(squared)
-        bound = 1e-10 * np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1e-300)
+        bound = 1e-10 * np.maximum(np.linalg.norm(b, axis=(1, 2)), 1e-300)
         failed = np.flatnonzero(~(residual <= bound))
         if failed.size:
             f = failed[0]
@@ -330,10 +337,12 @@ class DeflatedResolvent:
 
 
 def _batched_solve(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """np.linalg.solve over stacks, with NaN for each singular system."""
+    """np.linalg.solve over stacks, with NaN for each singular system; rhs
+    may be a stack that broadcasts against the matrices."""
     try:
         return np.linalg.solve(matrices, rhs)
     except np.linalg.LinAlgError:
+        rhs = np.broadcast_to(rhs, matrices.shape[:-1] + rhs.shape[-1:])
         out = np.full(rhs.shape, np.nan, dtype=complex)
         for idx in np.ndindex(matrices.shape[:-2]):
             try:
@@ -406,7 +415,7 @@ def _corrections(
         if key == (0, 0):
             continue
         trace = abs(np.trace(state))
-        if trace > 1e-12 * max(np.linalg.norm(state), 1e-300):
+        if not trace <= 1e-12 * max(np.linalg.norm(state), 1e-300):
             raise RuntimeError(f"order {key} correction has trace {trace:.3e}")
     return PerturbativeState(orders, resolvent, v_plus, v_minus)
 

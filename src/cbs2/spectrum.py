@@ -33,14 +33,15 @@ from .perturbation import (
 SOURCE_ORDERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 #: Frequencies per batched resolvent call in SpectrumEngine.densities.
-#: Batching amortizes the per-call overhead.  Timed in fresh processes over
-#: the spectrum-sweep benchmark's first omegas (2-vCPU host), a 612-point
-#: spectrum takes a median 0.28 s at one frequency per call, 0.09-0.11 s
-#: at 8, 0.06-0.09 s at 16, 0.055 s at 32 and 0.063-0.069 s at 64.  A call
-#: peaks at 0.54/0.93/1.7/3.3 MiB at 8/16/32/64 frequencies (tracemalloc);
-#: above about 2 MiB (glibc's trim threshold once 1 MiB arrays have been
-#: freed) every call returns its memory and faults it back in, about 5,700
-#: minor faults per spectrum at 64 against 80/190/375 at 8/16/32.
+#: Batching amortizes the per-call overhead.  Timed in fresh processes at
+#: omega = 1, 3 and 100 (600-point default grids, 2-vCPU host), a spectrum
+#: takes a median 74-102 ms at 8 frequencies per call, 52-69 ms at 16,
+#: 42-61 ms at 32 and 36-71 ms at 64.  A call peaks at 0.50/0.99/1.98 MiB
+#: at 16/32/64 frequencies (tracemalloc), mostly the per-shift copies of
+#: the 36-dimensional population block.  At 64 that reaches glibc's 2 MiB
+#: trim threshold: in a fresh process every call of the first engine
+#: returned its memory and faulted it back in, about 4,500 minor faults per
+#: spectrum against 10 at 8, 16 and 32.
 SWEEP_CHUNK = 32
 
 
@@ -68,7 +69,7 @@ def regression_sources(pert: PerturbativeState, atom: int) -> dict:
                 conn -= dipoles[(p, q)] * pert[(m - p, n - q)]
         connected[(m, n)] = conn
         trace = abs(np.trace(conn))
-        if trace > 1e-10 * max(np.linalg.norm(conn), 1e-300):
+        if not trace <= 1e-10 * max(np.linalg.norm(conn), 1e-300):
             raise RuntimeError(
                 f"connected source ({m},{n}) has trace {trace:.3e}"
             )
@@ -184,66 +185,57 @@ class SpectrumEngine:
             [transition_operator(b, 2, "lowering").T.reshape(-1) for b in (1, 2)]
         )
         # L is block diagonal, so the sweep needs solutions only on the
-        # sectors the functionals read: stage 2 solves there, stage 1 there
-        # for y11 and on the sectors that V+ and V- map into them for y01
-        # and y10.  Each stage-1 source is cut to the sectors of its column.
+        # sectors the functionals read: stage 2 solves there, stage 1 on
+        # the sectors that V+ and V- map into them, for y01 and y10.  Each
+        # stage-1 source is cut to the sectors of its column.
         self._read = resolvent.restricted(np.flatnonzero(np.any(functionals != 0, axis=0)))
         read = self._read.rows
-        # V+ and V- on the read rows, over all 256 columns
-        self._v_plus, self._v_minus = self.pert.v_plus[read], self.pert.v_minus[read]
-        cuts = {
-            (1, 1): read,
-            (0, 1): resolvent.sector_closure(np.flatnonzero(np.any(self._v_plus != 0, axis=0))),
-            (1, 0): resolvent.sector_closure(np.flatnonzero(np.any(self._v_minus != 0, axis=0))),
-        }
+        v_plus, v_minus = self.pert.v_plus[read], self.pert.v_minus[read]
         sources = {a: regression_sources(self.pert, a) for a in (1, 2)}
-        # columns per atom a: s11, s01, s10
-        stage1 = np.zeros((LIOUVILLE_DIM, 6), dtype=complex)
-        for column, (a, key) in enumerate((a, key) for a in (1, 2) for key in cuts):
-            stage1[cuts[key], column] = sources[a][key].reshape(-1)[cuts[key]]
-        # the read rows are kept even where s11 vanishes, to read y11 off
-        kept = np.any(stage1 != 0, axis=1)
-        kept[read] = True
-        self._stage1 = resolvent.restricted(np.flatnonzero(kept))
+        # columns: s01 of atoms 1 and 2, then s10 of atoms 1 and 2
+        stage1 = np.zeros((LIOUVILLE_DIM, 4), dtype=complex)
+        for k, (v, key) in enumerate(((v_plus, (0, 1)), (v_minus, (1, 0)))):
+            cut = resolvent.sector_closure(np.flatnonzero(np.any(v != 0, axis=0)))
+            for a in (1, 2):
+                stage1[cut, 2 * k + a - 1] = sources[a][key].reshape(-1)[cut]
+        self._stage1 = resolvent.restricted(np.flatnonzero(np.any(stage1 != 0, axis=1)))
         rows = self._stage1.rows
         self._sources = stage1[rows]
-        self._y11_rows = np.searchsorted(rows, read)
-        self._functionals = functionals[:, read]
+        # [V+ V-] on the read rows and the stage-1 rows, so that one product
+        # gives V+ y01 + V- y10
+        self._v = np.concatenate([v_plus[:, rows], v_minus[:, rows]], axis=1)
+        self._s11 = np.stack([sources[a][(1, 1)].reshape(-1)[read] for a in (1, 2)], axis=1)
+        # negated: they read the stage-2 solution, which is -R (see
+        # pair_transforms)
+        self._functionals = -functionals[:, read]
 
     def pair_transforms(self, nu: np.ndarray) -> np.ndarray:
         """F x 2 x 2 one-sided correlator transforms at the F frequencies
         nu (units of gamma); entry [f, a-1, b-1] pairs source atom a with
         detection functional atom b.
 
-        Two chained resolvent stages of 6 and 4 columns give
-        R s11 + R V+ R s01 + R V- R s10 with R = (z - L)^-1 at z = -i nu and
-        s the sources of atom a, each stage on its sectors only (see
+        R s11 + R V+ R s01 + R V- R s10 = R (s11 + V+ y01 + V- y10), with
+        R = (z - L)^-1 at z = -i nu, s the sources of atom a and y = R s,
+        is two resolvent stages: a four-column one for y01 and y10 of both
+        atoms, then a two-column one, each on its sectors only (see
         __init__).  The order-(0, 0) terms R V- R V+ R s00 + R V+ R V- R s00
         are left out: regression_sources checks that s00 vanishes.
         """
-        z = -1j * np.atleast_1d(np.asarray(nu, dtype=float)) * self.params.gamma
-
-        def resolve(resolvent, rhs: np.ndarray) -> np.ndarray:
-            # (z - L)^-1 = -(L - z)^-1
-            return -resolvent.solve(z, rhs)
-
-        # columns per atom a: y11, y01, y10; stage 2 takes, per atom,
-        # V+ y01, V- y10.  V+- act on y spread onto all 256 rows, so that
-        # each entry is summed as in the product on the full vector; over
-        # the stage-1 rows alone, BLAS sums in another order
-        y = resolve(self._stage1, self._sources)
-        full = np.zeros((LIOUVILLE_DIM, z.size, 2), dtype=complex)
-        stage2 = np.empty((self._read.rows.size, z.size, 2, 2), dtype=complex)
-        for s, (v, cols) in enumerate(((self._v_plus, [1, 4]), (self._v_minus, [2, 5]))):
-            full[self._stage1.rows] = y[:, :, cols].transpose(1, 0, 2)
-            stage2[..., s] = (v @ full.reshape(LIOUVILLE_DIM, -1)).reshape(-1, z.size, 2)
-        u = resolve(self._read, stage2.transpose(1, 0, 2, 3).reshape(z.shape + (-1, 4)))
-
-        total = y[:, self._y11_rows][:, :, [0, 3]] + u[:, :, [0, 2]] + u[:, :, [1, 3]]
-        # total[f, :, a] -> out[f, a, b], in one product over all f and a
-        f, n, k = total.shape
-        out = self._functionals @ total.transpose(1, 0, 2).reshape(n, f * k)
-        return out.reshape(-1, f, k).transpose(1, 2, 0)
+        # z = -i nu gamma by its parts: a product with 1j would turn an
+        # infinite nu into NaN, with a warning, before solve() refuses it
+        nu = np.atleast_1d(np.asarray(nu, dtype=float))
+        z = np.zeros(nu.shape, dtype=complex)
+        z.imag = -nu * self.params.gamma
+        # solve() gives (L - z)^-1 = -R: x = -y, and u = -R (s11 + V+ y01
+        # + V- y10)
+        x = self._stage1.solve(z, self._sources)
+        f, m = x.shape[:2]
+        # x[f, :, (k, a)] -> [(k, :), (f, a)], for one product over all f and a
+        x = x.reshape(f, m, 2, 2).transpose(2, 1, 0, 3).reshape(2 * m, 2 * f)
+        u = self._read.solve(z, self._s11 - (self._v @ x).reshape(-1, f, 2).transpose(1, 0, 2))
+        # u[f, :, a] -> out[f, a, b], in one product over all f and a
+        out = self._functionals @ u.transpose(1, 0, 2).reshape(-1, 2 * f)
+        return out.reshape(2, f, 2).transpose(1, 2, 0)
 
     def densities(self, nu_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Normalized inelastic (ladder, crossed) densities on nu_grid."""

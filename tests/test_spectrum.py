@@ -222,6 +222,28 @@ def test_multi_column_solve_equals_one_column_solves(free_and_rho0, z):
         assert x[..., k].tobytes() == resolvent.solve(z, block[:, k]).tobytes(), k
 
 
+@pytest.mark.parametrize("shape", ["vector", "block"])
+def test_shared_right_hand_side_equals_stacked_copies(free_and_rho0, shape):
+    # a B shared by all shifts is checked once and broadcast to them; X
+    # equals the solve of its F-fold copy bit for bit, signed zeros included
+    free, rho0 = free_and_rho0
+    v_plus, v_minus = exchange_generators(np.array([0.36, -0.48, 0.8]))
+    block = np.stack(
+        [
+            -(v_plus @ rho0.reshape(-1)),
+            -(v_minus @ rho0.reshape(-1)),
+            random_traceless(np.random.default_rng(18)).reshape(-1),
+        ],
+        axis=1,
+    )
+    if shape == "vector":
+        block = block[:, 0]
+    z = -1j * np.array([-2.0, -0.5, 0.0, 0.5, 3.0])
+    resolvent = DeflatedResolvent(free, rho0)
+    want = resolvent.solve(z, np.repeat(block.reshape(1, LIOUVILLE_DIM, -1), z.size, axis=0))
+    assert resolvent.solve(z, block).tobytes() == want.tobytes()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "bad, z, per_shift",
@@ -356,6 +378,19 @@ def test_source_swap_phase_symmetry():
             assert np.allclose(a, mapped, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_regression_sources_reject_nan_order(expansion_pair):
+    # a NaN fails every comparison, so a check written as "trace > bound"
+    # would let the NaN sources through
+    pert, _ = expansion_pair
+    broken = pert[(1, 1)].copy()
+    broken[3, 5] = np.nan
+    spoiled = dataclasses.replace(pert, orders={**pert.orders, (1, 1): broken})
+    for atom in (1, 2):
+        with pytest.raises(RuntimeError, match=r"connected source \(1,1\) has trace nan"):
+            regression_sources(spoiled, atom)
+
+
 def test_regression_sources_reject_populated_detected_level(expansion_pair):
     # weight moved from the ground to the detected excited level of atom 1
     # in the (0, 0) order would scatter singly into the detected channel
@@ -415,22 +450,19 @@ def csr_apply(op, x):
 
 
 def full_two_stage_sweep(engine, nu):
-    """pair_transforms on all 256 rows: uncut sources, both stages through
-    the full resolvent, functionals on the full vector."""
+    """pair_transforms on all 256 rows: R (s11 + V+ R s01 + V- R s10) with
+    uncut sources, both stages through the full resolvent, functionals on
+    the full vector."""
     pert = engine.pert
     z = -1j * nu * engine.params.gamma
     sources = {a: regression_sources(pert, a) for a in (1, 2)}
     stage1 = np.stack(
-        [sources[a][key].reshape(-1) for a in (1, 2) for key in ((1, 1), (0, 1), (1, 0))],
-        axis=1,
+        [sources[a][key].reshape(-1) for key in ((0, 1), (1, 0)) for a in (1, 2)], axis=1
     )
     y = -pert.resolvent.solve(z, stage1)
-    stage2 = np.stack(
-        [csr_apply(pert.v_plus, y[:, :, [1, 4]]), csr_apply(pert.v_minus, y[:, :, [2, 5]])],
-        axis=-1,
-    ).reshape(nu.size, LIOUVILLE_DIM, 4)
-    u = -pert.resolvent.solve(z, stage2)
-    total = y[:, :, [0, 3]] + u[:, :, [0, 2]] + u[:, :, [1, 3]]
+    s11 = np.stack([sources[a][(1, 1)].reshape(-1) for a in (1, 2)], axis=1)
+    stage2 = s11 + csr_apply(pert.v_plus, y[:, :, :2]) + csr_apply(pert.v_minus, y[:, :, 2:])
+    total = -pert.resolvent.solve(z, stage2)
     functionals = sparse.csr_array(
         np.stack([transition_operator(b, 2, "lowering").T.reshape(-1) for b in (1, 2)])
     )
@@ -453,14 +485,18 @@ ORIENTATIONS = {
 @pytest.mark.parametrize("delta", [0.0, 3.0])
 @pytest.mark.parametrize("omega", [0.1, 0.25, 0.5, 2.0**-0.5, 1.0, 10.0, 100.0])
 def test_pair_transforms_equal_full_two_stage_sweep(omega, delta, orientation):
-    # the sweep on the read sectors does the arithmetic of the full sweep
-    # on the entries that reach the output, so it agrees bit for bit
+    # the sweep on the read sectors solves the entries of the full sweep
+    # that reach the output bit for bit; its products with V+- and the
+    # functionals sum over those entries only, so BLAS sums in another
+    # order, and the two agree to rounding of each frequency's largest entry
     engine = SpectrumEngine(
         PhysParams(omega=omega, delta=delta),
         Configuration(n_hat=ORIENTATIONS[orientation], phi_L=0.8),
     )
     nu = np.array([0.0, 0.7, -0.7, omega, -omega, 0.5 * omega, 2.0 * omega, 30.0])
-    assert np.array_equal(engine.pair_transforms(nu), full_two_stage_sweep(engine, nu))
+    got, want = engine.pair_transforms(nu), full_two_stage_sweep(engine, nu)
+    scale = np.max(np.abs(want), axis=(1, 2))
+    assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= 4e-15 * scale)
 
 
 def sector_closure(matrix, rows):
@@ -572,6 +608,18 @@ def test_densities_do_not_depend_on_chunking(engine_s1):
     single = [engine_s1.densities(nu[i:i + 1]) for i in range(nu.size)]
     assert np.array_equal(ladder, np.concatenate([pair[0] for pair in single]))
     assert np.array_equal(crossed, np.concatenate([pair[1] for pair in single]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_engine_refuses_non_finite_frequency(bad):
+    # named as such before any solve, with no warning on the way; a pole
+    # error would name a wrong cause
+    engine = SpectrumEngine(PhysParams(omega=1.0), Configuration())
+    with pytest.raises(ValueError, match="shift must be finite"):
+        engine.densities([0.5, bad])
+    with pytest.raises(ValueError, match="shift must be finite"):
+        engine.spectrum(nu_grid=np.array([-1.0, 0.5, bad]))
 
 
 def test_enhancement_from_spectrum(engine_s1):
