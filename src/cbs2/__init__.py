@@ -17,11 +17,7 @@ from .analysis import (
     window_stats,
 )
 from .average import AverageSpec, ISOTROPIC_FACTOR, angular_factor, mc_average
-from .generators import (
-    exchange_generators,
-    free_generator,
-    partial_trace,
-)
+from .generators import exchange_generators, free_generator
 from .geometry import Configuration, PhysParams
 from .oracle import (
     elastic_terms,
@@ -46,7 +42,6 @@ from .spectrum import (
     ResolventPoleError,
     SpectrumEngine,
     SpectrumResult,
-    cbs_spectrum,
     default_frequency_grid,
     integrate_spectrum,
     oracle_spectrum_result,
@@ -74,7 +69,6 @@ __all__ = [
     "analyze_peak",
     "angular_factor",
     "build_expansion",
-    "cbs_spectrum",
     "default_frequency_grid",
     "elastic_terms",
     "enhancement_factor",
@@ -88,7 +82,6 @@ __all__ = [
     "nonperturbative_intensity",
     "numeric_enhancement",
     "oracle_spectrum_result",
-    "partial_trace",
     "strong_field_spectra",
     "total_terms",
     "weak_field_spectra",

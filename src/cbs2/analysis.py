@@ -79,7 +79,10 @@ def window_stats(spec: SpectrumResult, which: str, center: float, window: float)
     from scipy.interpolate import InterpolatedUnivariateSpline
 
     _validate_window(spec, center, window)
-    density = {"ladder": spec.ladder_inel, "crossed": spec.crossed_inel}[which]
+    densities = {"ladder": spec.ladder_inel, "crossed": spec.crossed_inel}
+    if which not in densities:
+        raise ValueError(f"which must be 'ladder' or 'crossed', got {which!r}")
+    density = densities[which]
     spline = InterpolatedUnivariateSpline(spec.nu, density, k=3)
     x, w = _window_nodes(window)
     right = spline(center + x)

@@ -96,26 +96,6 @@ def _parse_config_file(path: str) -> list[str]:
     return flags
 
 
-def _extract_config(argv: list[str]) -> tuple[list[str], str | None]:
-    rest: list[str] = []
-    config = None
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--config":
-            if i + 1 >= len(argv):
-                raise UsageError("--config requires a file path")
-            config = argv[i + 1]
-            i += 2
-        elif arg.startswith("--config="):
-            config = arg.split("=", 1)[1]
-            i += 1
-        else:
-            rest.append(arg)
-            i += 1
-    return rest, config
-
-
 def _inject_config(argv: list[str], flags: list[str]) -> list[str]:
     for pos, arg in enumerate(argv):
         if not arg.startswith("-"):
@@ -321,10 +301,14 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
+    # --config is read before the subcommand parser sees the arguments,
+    # wherever it stands; the rest keep their order
+    pre = _Parser(prog="cbs2", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
     try:
-        argv, config_path = _extract_config(list(argv))
-        if config_path is not None:
-            argv = _inject_config(argv, _parse_config_file(config_path))
+        known, argv = pre.parse_known_args(list(argv))
+        if known.config is not None:
+            argv = _inject_config(argv, _parse_config_file(known.config))
         args = parser.parse_args(argv)
         handler = _COMMANDS[args.command]
         return handler(args)

@@ -251,12 +251,3 @@ def exchange_generators(n_hat: np.ndarray, gamma: float = 1.0) -> tuple[np.ndarr
     """Exchange generators for an atom pair oriented along n_hat."""
     return exchange_generators_from_tensor(gamma * transverse_projector(n_hat))
 
-
-def partial_trace(rho: np.ndarray, keep_atom: int) -> np.ndarray:
-    """Reduce a 16 x 16 two-atom state to the 4 x 4 state of one atom."""
-    r = np.asarray(rho).reshape(4, 4, 4, 4)
-    if keep_atom == 1:
-        return np.einsum("abcb->ac", r)
-    if keep_atom == 2:
-        return np.einsum("abad->bd", r)
-    raise ValueError("keep_atom must be 1 or 2")

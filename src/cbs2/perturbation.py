@@ -441,7 +441,7 @@ def build_expansion(params: PhysParams, cfg: Configuration) -> PerturbativeState
 def checked_geometry_weight(weight: float) -> float:
     """Return the orientation factor, refusing orientations that give the
     helicity-preserving channel no double-scattering signal."""
-    if weight < 1e-12:
+    if not weight >= 1e-12:  # NaN fails too
         raise ValueError(
             "orientation is degenerate for the helicity-preserving channel "
             "(n_hat along the laser axis gives no double-scattering signal)"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import LIOUVILLE_DIM, transition_operator
-from .geometry import Configuration, PhysParams
+from .geometry import Configuration, PhysParams, require_finite
 from .perturbation import (
     PerturbativeState,
     ResolventPoleError,
@@ -110,12 +110,20 @@ class SpectrumResult:
             raise ValueError("nu grid must be a 1-d array with at least 2 points")
         if not np.all(np.diff(nu) > 0):
             raise ValueError("nu grid must be strictly increasing")
-        for name in ("ladder_inel", "crossed_inel"):
-            dens = np.asarray(getattr(self, name), dtype=float)
-            if dens.shape != nu.shape:
+        for name in ("ladder_inel", "crossed_inel", "quad_weights"):
+            if name == "quad_weights" and self.quad_weights is None:
+                continue
+            values = np.asarray(getattr(self, name), dtype=float)
+            if values.shape != nu.shape:
                 raise ValueError(f"{name} must match the grid shape")
-            if not np.all(np.isfinite(dens)):
+            if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} contains non-finite values")
+        # the checks of the drive: a NaN omega or gamma would pass the
+        # grid-coverage and window comparisons that read them
+        PhysParams(omega=self.omega, gamma=self.gamma, delta=self.delta)
+        require_finite(self, "ladder_el_weight", "crossed_el_weight")
+        if self.symmetry_defect is not None and not self.symmetry_defect >= 0:
+            raise ValueError(f"symmetry_defect must be non-negative, got {self.symmetry_defect}")
 
 
 def default_frequency_grid(
@@ -131,6 +139,7 @@ def default_frequency_grid(
     """
     if points < 200:
         raise ValueError("need at least 200 grid points")
+    PhysParams(omega=omega, gamma=gamma)  # refuses NaN, omega < 0 and gamma <= 0
     w = omega / gamma
     centers = sorted({0.0, 0.5 * w, w, 2.0 * w})
     offsets = np.array([1.5, 4.0, 10.0, 25.0, 60.0])
@@ -249,11 +258,6 @@ class SpectrumEngine:
         crossed = scale * (p[:, 0, 1] * phase + p[:, 1, 0] * np.conj(phase)).real
         return ladder, crossed
 
-    def elastic_weights(self) -> tuple[float, float]:
-        """Normalized elastic delta weights (ladder, crossed)."""
-        terms = intensity_terms(self.pert, self.cfg).normalized()
-        return terms.ladder_elastic, terms.crossed_elastic
-
     def spectrum(
         self, nu_grid: np.ndarray | None = None, points: int = 2000
     ) -> SpectrumResult:
@@ -281,34 +285,19 @@ class SpectrumEngine:
             ladder = 0.5 * (ladder + ladder_m)
             crossed = 0.5 * (crossed + crossed_m)
 
-        el_ladder, el_crossed = self.elastic_weights()
+        terms = intensity_terms(self.pert, self.cfg).normalized()
         return SpectrumResult(
             nu=nu,
             ladder_inel=ladder,
             crossed_inel=crossed,
-            ladder_el_weight=el_ladder,
-            crossed_el_weight=el_crossed,
+            ladder_el_weight=terms.ladder_elastic,
+            crossed_el_weight=terms.crossed_elastic,
             omega=self.params.omega,
             gamma=self.params.gamma,
             delta=self.params.delta,
             quad_weights=weights,
             symmetry_defect=defect,
         )
-
-
-def cbs_spectrum(
-    params: PhysParams,
-    cfg: Configuration,
-    nu_grid: np.ndarray | None = None,
-    points: int = 2000,
-) -> SpectrumResult:
-    """Backscattering spectrum at double-scattering order.
-
-    Evaluates the exact-backscattering ladder and crossed inelastic
-    densities on nu_grid (default: an adaptive symmetric grid with
-    quadrature weights) together with the elastic delta weights.
-    """
-    return SpectrumEngine(params, cfg).spectrum(nu_grid=nu_grid, points=points)
 
 
 def _tail_correction(nu: np.ndarray, density: np.ndarray) -> float:

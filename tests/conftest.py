@@ -13,6 +13,16 @@ def apply(gen, rho):
     return (gen @ flat).reshape(HILBERT_DIM, HILBERT_DIM)
 
 
+def partial_trace(rho: np.ndarray, keep_atom: int) -> np.ndarray:
+    """Reduce a 16 x 16 two-atom state to the 4 x 4 state of one atom."""
+    r = np.asarray(rho).reshape(4, 4, 4, 4)
+    if keep_atom == 1:
+        return np.einsum("abcb->ac", r)
+    if keep_atom == 2:
+        return np.einsum("abad->bd", r)
+    raise ValueError("keep_atom must be 1 or 2")
+
+
 @pytest.fixture(scope="session")
 def suite():
     """Shared acceptance suite; spectra are computed once and cached."""

@@ -102,8 +102,9 @@ def test_window_validation(oracle_strong):
     edge = float(oracle_strong.nu[-1])
     with pytest.raises(ValueError):
         window_stats(oracle_strong, "ladder", edge - 5.0, 25.0)
-    with pytest.raises(KeyError):
-        window_stats(oracle_strong, "banana", 0.0, 25.0)
+    for which in ("banana", "both"):
+        with pytest.raises(ValueError, match="which must be 'ladder' or 'crossed'"):
+            window_stats(oracle_strong, which, 0.0, 25.0)
 
 
 @pytest.mark.parametrize(

@@ -302,6 +302,21 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "banana" in err
 
 
+def test_config_usage_errors_and_position(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("points = 4\n")
+    # without a value, and without a subcommand to apply the file to
+    for argv in (("enhancement-curve", "--config"), ("--config", str(cfg))):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "cbs2: error:" in err
+    # --config=path before the subcommand, an explicit flag after it
+    code, out, _ = run(capsys, f"--config={cfg}", "enhancement-curve", "--points", "2")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 3
+
+
 def test_config_file_missing(capsys):
     code, _, _ = run(capsys, "enhancement-curve", "--config", "/no/such/file.cfg")
     assert code == 2

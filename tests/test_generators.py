@@ -8,7 +8,7 @@ of the superoperators without trusting any of the library's own plumbing.
 
 import numpy as np
 import pytest
-from conftest import apply
+from conftest import apply, partial_trace
 from scipy.linalg import expm
 
 from cbs2.generators import (
@@ -23,7 +23,6 @@ from cbs2.generators import (
     exchange_generators,
     exchange_generators_from_tensor,
     free_generator,
-    partial_trace,
     sandwich,
     spost,
     spre,

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import apply
+from conftest import apply, partial_trace
 
 from cbs2 import oracle
 from cbs2.generators import (
@@ -12,16 +12,17 @@ from cbs2.generators import (
     LIOUVILLE_DIM,
     exchange_generators,
     free_generator,
-    partial_trace,
     transition_operator,
 )
 from cbs2.geometry import Configuration, PhysParams
 from cbs2.perturbation import (
     DeflatedResolvent,
     DegeneracyError,
+    IntensityTerms,
     _sectors_of,
     _trace_row_solve,
     build_expansion,
+    checked_geometry_weight,
     intensity_terms,
     mean_dipole_orders,
     nonperturbative_intensity,
@@ -282,6 +283,11 @@ def test_normalized_rejects_degenerate_orientation():
     terms = intensity_terms(build_expansion(params, cfg), cfg)
     with pytest.raises(ValueError):
         terms.normalized()
+    # a NaN weight fails the comparison too, and would make every field NaN
+    with pytest.raises(ValueError, match="degenerate"):
+        checked_geometry_weight(float("nan"))
+    with pytest.raises(ValueError, match="degenerate"):
+        IntensityTerms(1, 1, 1, 1, 0, 0, float("nan")).normalized()
 
 
 def test_numeric_enhancement_rejects_degenerate_orientation():

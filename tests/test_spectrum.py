@@ -600,6 +600,23 @@ def test_closure_on_plain_grid(engine_s1):
     assert crossed == pytest.approx(want_crossed, rel=1e-5)
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [Configuration(), Configuration(n_hat=(0.6, 0.0, 0.8), phi_L=0.8)],
+    ids=["default", "tilted"],
+)
+def test_spectrum_symmetrizes_a_grid_that_is_not_mirrored(cfg):
+    # at delta = 0 the densities are even in nu; on a grid that is not its
+    # own mirror image spectrum() sweeps -nu as well and averages
+    engine = SpectrumEngine(PhysParams(omega=1.0), cfg)
+    nu = np.linspace(-20.0, 35.0, 401)
+    spec = engine.spectrum(nu_grid=nu)
+    assert spec.symmetry_defect <= 1e-9
+    plus, minus = engine.densities(nu), engine.densities(-nu)
+    assert np.array_equal(spec.ladder_inel, 0.5 * (plus[0] + minus[0]))
+    assert np.array_equal(spec.crossed_inel, 0.5 * (plus[1] + minus[1]))
+
+
 def test_densities_do_not_depend_on_chunking(engine_s1):
     # a grid that is not a multiple of the sweep chunk, evaluated at once
     # and one frequency per call, must agree bit for bit
@@ -744,6 +761,33 @@ def test_spectrum_result_validation():
             ladder_el_weight=0.0, crossed_el_weight=0.0,
             omega=1.0, gamma=1.0, delta=0.0,
         )
+    # the scalars and the optional arrays: a NaN omega or gamma would pass
+    # the grid-coverage and window checks, a NaN weight give a NaN total
+    base = dict(
+        nu=nu, ladder_inel=good, crossed_inel=good,
+        ladder_el_weight=0.0, crossed_el_weight=0.0,
+        omega=1.0, gamma=1.0, delta=0.0,
+    )
+    SpectrumResult(**base, quad_weights=np.full_like(nu, 0.2), symmetry_defect=1e-8)
+    for change in (
+        {"omega": np.nan}, {"gamma": np.nan}, {"delta": np.inf},
+        {"omega": -1.0}, {"gamma": 0.0},
+        {"ladder_el_weight": np.nan}, {"crossed_el_weight": -np.inf},
+        {"quad_weights": np.full(nu.size - 1, 0.2)},
+        {"quad_weights": np.where(nu > 0, np.nan, 0.2)},
+        {"symmetry_defect": np.nan}, {"symmetry_defect": -1e-3},
+    ):
+        with pytest.raises(ValueError):
+            SpectrumResult(**{**base, **change})
+    # the weak-drive oracle densities on +-30: omega = 100 needs +-220
+    nu = np.linspace(-30.0, 30.0, 601)
+    ladder, crossed = oracle.weak_field_spectra(nu, 0.1)
+    base.update(nu=nu, ladder_inel=ladder, crossed_inel=crossed, omega=100.0)
+    with pytest.raises(GridCoverageError):
+        integrate_spectrum(SpectrumResult(**base))
+    for change in ({"omega": np.nan}, {"gamma": np.nan}):
+        with pytest.raises(ValueError, match="must be finite"):
+            SpectrumResult(**{**base, **change})
 
 
 def test_default_frequency_grid_properties():
@@ -757,6 +801,9 @@ def test_default_frequency_grid_properties():
     assert len(nu) > 0.9 * 600
     with pytest.raises(ValueError):
         default_frequency_grid(1.0, points=100)
+    for omega, gamma in ((np.nan, 1.0), (np.inf, 1.0), (1.0, 0.0), (-5.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="omega|gamma"):
+            default_frequency_grid(omega, gamma)
 
 
 def test_oracle_spectrum_result_integrates_to_closed_totals():
