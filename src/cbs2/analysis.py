@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import SpectrumResult
+from .spectrum import SpectrumResult, _CubicSpline
 
 #: Minimum admissible window half width in units of gamma.
 MIN_WINDOW = 10.0
@@ -74,16 +74,12 @@ def _validate_window(spec: SpectrumResult, center: float, window: float) -> None
 
 
 def window_stats(spec: SpectrumResult, which: str, center: float, window: float):
-    # imported on first use: scipy.interpolate is most of the import time
-    # of the package, and most callers never need it
-    from scipy.interpolate import InterpolatedUnivariateSpline
-
     _validate_window(spec, center, window)
     densities = {"ladder": spec.ladder_inel, "crossed": spec.crossed_inel}
     if which not in densities:
         raise ValueError(f"which must be 'ladder' or 'crossed', got {which!r}")
     density = densities[which]
-    spline = InterpolatedUnivariateSpline(spec.nu, density, k=3)
+    spline = _CubicSpline(spec.nu, density)
     x, w = _window_nodes(window)
     right = spline(center + x)
     left = spline(center - x)

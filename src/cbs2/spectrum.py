@@ -300,6 +300,64 @@ class SpectrumEngine:
         )
 
 
+class _CubicSpline:
+    """Not-a-knot cubic interpolant of y over the nodes x.
+
+    The same function as FITPACK's interpolating spline of degree 3 (knots
+    x[2:-2] inside): the cubic of the first interval also spans the second,
+    and that of the last interval the one before.  Held as the second
+    derivatives m at the nodes, which solve a tridiagonal system.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.size < 4:
+            raise GridCoverageError(
+                f"a cubic interpolant needs a grid of at least 4 points, got {x.size}"
+            )
+        h = np.diff(x)
+        slope = np.diff(y) / h
+        # row i of the unknowns m[1:-1]:
+        # h[i] m[i] + 2 (h[i] + h[i+1]) m[i+1] + h[i+1] m[i+2] = 6 (slope[i+1] - slope[i])
+        lower = h[:-1].tolist()
+        diag = (2.0 * (h[:-1] + h[1:])).tolist()
+        upper = h[1:].tolist()
+        rhs = (6.0 * np.diff(slope)).tolist()
+        # not-a-knot ends, m[0] = m[1] + h0 / h1 (m[1] - m[2]) and its mirror,
+        # put into the first and last rows, which are then scaled by h1
+        h0, h1 = float(h[0]), float(h[1])
+        diag[0], upper[0], rhs[0] = (h0 + h1) * (h0 + 2.0 * h1), h1 * h1 - h0 * h0, rhs[0] * h1
+        h0, h1 = float(h[-1]), float(h[-2])
+        diag[-1], lower[-1], rhs[-1] = (h0 + h1) * (h0 + 2.0 * h1), h1 * h1 - h0 * h0, rhs[-1] * h1
+        # Thomas elimination; both end rows are diagonally dominant
+        for i in range(1, len(diag)):
+            factor = lower[i] / diag[i - 1]
+            diag[i] -= factor * upper[i - 1]
+            rhs[i] -= factor * rhs[i - 1]
+        m = [0.0] * x.size
+        m[-2] = rhs[-1] / diag[-1]
+        for i in range(len(diag) - 2, -1, -1):
+            m[i + 1] = (rhs[i] - upper[i] * m[i + 2]) / diag[i]
+        m[0] = m[1] + h[0] / h[1] * (m[1] - m[2])
+        m[-1] = m[-2] + h[-1] / h[-2] * (m[-2] - m[-3])
+        m = np.array(m)
+        self.x, self.y, self.h, self.m = x, y, h, m
+        # the cubic of interval i in powers of (t - x[i])
+        self.c1 = slope - h * (2.0 * m[:-1] + m[1:]) / 6.0
+        self.c3 = np.diff(m) / (6.0 * h)
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, self.x.size - 2)
+        dt = t - self.x[i]
+        return self.y[i] + dt * (self.c1[i] + dt * (0.5 * self.m[i] + dt * self.c3[i]))
+
+    def integral(self) -> float:
+        """Integral over [x[0], x[-1]], interval by interval in closed form."""
+        h, y, m = self.h, self.y, self.m
+        return float(np.sum(0.5 * h * (y[:-1] + y[1:]) - h**3 * (m[:-1] + m[1:]) / 24.0))
+
+
 def _tail_correction(nu: np.ndarray, density: np.ndarray) -> float:
     """Estimate the integral beyond the grid ends from the 1/nu^2 tails."""
     n_fit = min(8, len(nu) // 10)
@@ -340,11 +398,7 @@ def integrate_spectrum(spec: SpectrumResult) -> tuple[float, float]:
         if spec.quad_weights is not None:
             inel = float(spec.quad_weights @ density)
         else:
-            # imported on first use, like in analysis.window_stats
-            from scipy.interpolate import InterpolatedUnivariateSpline
-
-            spline = InterpolatedUnivariateSpline(spec.nu, density, k=3)
-            inel = float(spline.integral(spec.nu[0], spec.nu[-1]))
+            inel = _CubicSpline(spec.nu, density).integral()
         inel += _tail_correction(spec.nu, density)
         totals.append(inel + elastic)
     return totals[0], totals[1]

@@ -7,7 +7,9 @@ the peak table of the numeric spectrum at omega = 100 gamma is checked.
 
 import numpy as np
 import pytest
+from scipy.interpolate import InterpolatedUnivariateSpline
 
+from cbs2 import analysis
 from cbs2.analysis import (
     ClassificationError,
     DOMINANCE_THRESHOLD,
@@ -258,6 +260,46 @@ def test_filtered_enhancement_table(strong_spectrum):
     assert filtered_enhancement(strong_spectrum, 2 * OMEGA, 25.0) == pytest.approx(
         2.0, abs=0.1
     )
+
+
+def test_window_weights_match_fitpack(strong_spectrum, monkeypatch):
+    centers = [m * OMEGA for m in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)]
+    cases = [(which, center) for which in ("ladder", "crossed") for center in centers]
+    got = [window_stats(strong_spectrum, which, c, 25.0) for which, c in cases]
+    monkeypatch.setattr(
+        analysis, "_CubicSpline", lambda x, y: InterpolatedUnivariateSpline(x, y, k=3)
+    )
+    want = [window_stats(strong_spectrum, which, c, 25.0) for which, c in cases]
+    for (weight, abs_integral, _, _), (want_weight, want_abs, _, _) in zip(got, want):
+        assert abs(weight - want_weight) <= 1e-13 * want_abs
+        assert abs(abs_integral - want_abs) <= 1e-13 * want_abs
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec: window_stats(spec, "ladder", 0.0, MIN_WINDOW),
+        lambda spec: analyze_peak(spec, "crossed", 0.0, MIN_WINDOW),
+        lambda spec: filtered_enhancement(spec, 0.0, MIN_WINDOW),
+    ],
+    ids=["window_stats", "analyze_peak", "filtered_enhancement"],
+)
+@pytest.mark.parametrize("points", [2, 3])
+def test_grid_below_4_points_is_refused(call, points):
+    # the window fits the grid, but a cubic interpolant needs 4 nodes
+    nu = np.linspace(-100.0, 100.0, points)
+    spec = SpectrumResult(
+        nu=nu,
+        ladder_inel=np.ones_like(nu),
+        crossed_inel=np.ones_like(nu),
+        ladder_el_weight=0.0,
+        crossed_el_weight=0.0,
+        omega=40.0,
+        gamma=1.0,
+        delta=0.0,
+    )
+    with pytest.raises(ValueError, match="cubic interpolant needs a grid of at least 4 points"):
+        call(spec)
 
 
 def test_filtered_enhancement_undefined_when_ladder_vanishes():

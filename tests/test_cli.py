@@ -23,13 +23,20 @@ def run(capsys, *argv):
 
 def after_default_path(expression):
     """The value of expression, printed by a fresh interpreter after it has
-    run the import and the enhancement, spectrum and Monte-Carlo paths."""
+    run the import, the enhancement, spectrum and Monte-Carlo paths, and the
+    spline paths: the windowed weights, the filtered enhancement and the
+    quadrature of a grid without quadrature weights."""
     code = (
-        "import sys, numpy as np, cbs2\n"
+        "import dataclasses, sys, numpy as np, cbs2\n"
+        "from cbs2.spectrum import oracle_spectrum_result\n"
         "params, cfg = cbs2.PhysParams(omega=1.0), cbs2.Configuration()\n"
         "cbs2.numeric_enhancement(params, cfg)\n"
         "cbs2.SpectrumEngine(params, cfg).densities(np.linspace(-5.0, 5.0, 41))\n"
         "cbs2.mc_average(cbs2.AverageSpec(samples=1000))\n"
+        "spec = dataclasses.replace(oracle_spectrum_result(100.0), quad_weights=None)\n"
+        "cbs2.window_stats(spec, 'crossed', 50.0, 25.0)\n"
+        "cbs2.filtered_enhancement(spec, 100.0, 25.0)\n"
+        "cbs2.integrate_spectrum(spec)\n"
         f"print({expression})\n"
     )
     return subprocess.run(
@@ -38,11 +45,10 @@ def after_default_path(expression):
 
 
 def test_import_leaves_out_scipy_interpolate():
-    # every CLI call imports the package, and importing scipy would be most
-    # of its time; only window_stats and the spline quadrature of
-    # integrate_spectrum need scipy.  In a fresh interpreter, the import
-    # and the enhancement, spectrum and Monte-Carlo paths load no scipy
-    # module.
+    # numpy is the package's only runtime dependency: importing
+    # scipy.interpolate would be most of a CLI call's time and about 50 MiB
+    # of its memory.  In a fresh interpreter, neither the default paths nor
+    # the spline paths load any scipy module.
     modules = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
     assert after_default_path(modules) == "[]"
 

@@ -12,6 +12,7 @@ import pytest
 import scipy.linalg as la
 from conftest import apply
 from scipy import sparse
+from scipy.interpolate import InterpolatedUnivariateSpline
 from scipy.sparse.csgraph import connected_components
 
 from cbs2 import oracle
@@ -36,6 +37,7 @@ from cbs2.spectrum import (
     ResolventPoleError,
     SpectrumEngine,
     SpectrumResult,
+    _CubicSpline,
     default_frequency_grid,
     integrate_spectrum,
     oracle_spectrum_result,
@@ -590,14 +592,62 @@ def test_closure_against_stationary_intensities(engine_s1):
     assert spec.crossed_el_weight == pytest.approx(1.0 / 16.0, rel=1e-10)
 
 
-def test_closure_on_plain_grid(engine_s1):
+@pytest.fixture(scope="module")
+def plain_grid_spectrum(engine_s1):
+    return engine_s1.spectrum(nu_grid=np.linspace(-150.0, 150.0, 2001))
+
+
+def test_closure_on_plain_grid(plain_grid_spectrum):
     # independent integration path: uniform grid and spline quadrature
-    spec = engine_s1.spectrum(nu_grid=np.linspace(-150.0, 150.0, 2001))
+    spec = plain_grid_spectrum
     assert spec.quad_weights is None
     ladder, crossed = integrate_spectrum(spec)
     want_ladder, want_crossed = oracle.total_terms(1.0)
     assert ladder == pytest.approx(want_ladder, rel=1e-5)
     assert crossed == pytest.approx(want_crossed, rel=1e-5)
+
+
+# the spectra of the validate battery on their 2000-point default grids, and
+# the uniform grid of plain_grid_spectrum (None)
+SPLINE_GRIDS = pytest.mark.parametrize(
+    "omega", [0.1, 1.0, 10.0, 100.0, None],
+    ids=["omega-0.1", "omega-1", "omega-10", "omega-100", "uniform"],
+)
+
+
+@SPLINE_GRIDS
+@pytest.mark.parametrize("which", ["ladder_inel", "crossed_inel"])
+def test_spline_values_match_fitpack(suite, plain_grid_spectrum, omega, which):
+    spec = plain_grid_spectrum if omega is None else suite.spectrum(omega)
+    nu, density = spec.nu, getattr(spec, which)
+    # the nodes and three points inside every interval
+    inner = nu[:-1, None] + np.diff(nu)[:, None] * np.array([0.25, 0.5, 0.75])
+    sample = np.concatenate([nu, inner.ravel()])
+    want = InterpolatedUnivariateSpline(nu, density, k=3)(sample)
+    got = _CubicSpline(nu, density)(sample)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(density))
+
+
+@SPLINE_GRIDS
+@pytest.mark.parametrize("which", ["ladder_inel", "crossed_inel"])
+def test_spline_integral_matches_fitpack(suite, plain_grid_spectrum, omega, which):
+    spec = plain_grid_spectrum if omega is None else suite.spectrum(omega)
+    nu, density = spec.nu, getattr(spec, which)
+    want = InterpolatedUnivariateSpline(nu, density, k=3).integral(nu[0], nu[-1])
+    assert abs(_CubicSpline(nu, density).integral() - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("points", [4, 5, 9])
+def test_spline_reproduces_a_cubic(points):
+    # the not-a-knot interpolant of a cubic is that cubic; on 4 points it is
+    # the one cubic through them
+    nu = np.sort(np.random.default_rng(points).uniform(-3.0, 3.0, points))
+    cubic = np.polynomial.Polynomial([0.3, -1.2, 0.7, 0.45])
+    spline = _CubicSpline(nu, cubic(nu))
+    t = np.linspace(nu[0], nu[-1], 101)
+    assert np.max(np.abs(spline(t) - cubic(t))) <= 1e-12
+    exact = cubic.integ()(nu[-1]) - cubic.integ()(nu[0])
+    assert spline.integral() == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -736,6 +786,16 @@ def test_grid_coverage_guards():
     )
     with pytest.raises(GridCoverageError, match="at least 10 points"):
         integrate_spectrum(spec)
+    # densities that vanish at both ends let 2- and 3-point grids reach the
+    # spline quadrature, which needs 4 nodes for a cubic
+    for points in (2, 3):
+        nu = np.linspace(-100.0, 100.0, points)
+        density = np.where(nu == 0.0, 1.0, 0.0)
+        spec = dataclasses.replace(
+            spec, nu=nu, ladder_inel=density, crossed_inel=density, omega=40.0
+        )
+        with pytest.raises(GridCoverageError, match="cubic interpolant needs a grid of at least 4 points"):
+            integrate_spectrum(spec)
 
 
 def test_spectrum_result_validation():
