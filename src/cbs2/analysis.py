@@ -10,11 +10,13 @@ integrated intensity within its window.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .generators import _read_only
 from .spectrum import SpectrumResult, _CubicSpline
 
 #: Minimum admissible window half width in units of gamma.
@@ -55,8 +57,16 @@ class PeakReport:
     shape: str
 
 
-def _window_nodes(window: float) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre nodes and weights on [-1, 1], computed on first
+    use (a few ms), not at import, and read-only."""
     x, w = np.polynomial.legendre.leggauss(_QUAD_POINTS)
+    return _read_only(x), _read_only(w)
+
+
+def _window_nodes(window: float) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _legendre_rule()
     return 0.5 * window * (x + 1.0), 0.5 * window * w
 
 

@@ -42,6 +42,9 @@ class AverageSpec:
 
     def __post_init__(self):
         require_finite(self, "ell_k0", "width_frac")
+        # numpy draws only an integral number of samples
+        if not isinstance(self.samples, (int, np.integer)):
+            raise ValueError(f"samples must be an integer, got {self.samples!r}")
         # the standard error takes the sample spread, defined from two samples
         if self.samples < 2:
             raise ValueError(f"samples must be at least 2, got {self.samples}")

@@ -15,11 +15,13 @@ rho -> A rho B has matrix kron(A, B.T); spre, spost and sandwich build
 such superoperators, with np.kron or with a Kronecker product evaluated
 on chosen entries only.
 
-Both generators are linear in their parameters, are filled from bases
+Both generators are linear in their parameters and are filled from bases
 built once from spre, spost and sandwich on the entries their Kronecker
-products reach, and are dense complex 256 x 256 arrays.  The stationary
-trace constraint is handled by the solvers, not by deflating the
-generator itself.
+products reach.  free_generator and exchange_generators give them as
+dense complex 256 x 256 arrays, the public reference; the expansion reads
+the same values on the reached entries only, and applies V+- as an
+OperatorEntries.  The stationary trace constraint is handled by the
+solvers, not by deflating the generator itself.
 """
 
 from __future__ import annotations
@@ -186,6 +188,18 @@ def _free_basis() -> tuple[np.ndarray, np.ndarray]:
     return _linear_basis(parts)
 
 
+def _free_values(params: PhysParams, phi_L: float) -> np.ndarray:
+    """The entries of free_generator(params, phi_L) on the flat positions
+    of _free_basis(), zeros included."""
+    drive_1 = params.omega + 0j
+    drive_2 = params.omega * np.exp(1j * phi_L)
+    coeffs = np.array(
+        [params.gamma, params.delta, drive_1, np.conj(drive_1), drive_2, np.conj(drive_2)],
+        dtype=complex,
+    )
+    return _combine(coeffs, _free_basis()[0])
+
+
 def free_generator(params: PhysParams, phi_L: float = 0.0) -> np.ndarray:
     """Generator of the two uncoupled driven atoms.
 
@@ -195,15 +209,8 @@ def free_generator(params: PhysParams, phi_L: float = 0.0) -> np.ndarray:
     delta and the two complex drives and their conjugates, and is filled
     from the cached basis of those parts.
     """
-    drive_1 = params.omega + 0j
-    drive_2 = params.omega * np.exp(1j * phi_L)
-    coeffs = np.array(
-        [params.gamma, params.delta, drive_1, np.conj(drive_1), drive_2, np.conj(drive_2)],
-        dtype=complex,
-    )
-    basis, flat = _free_basis()
     mat = np.zeros(LIOUVILLE_DIM * LIOUVILLE_DIM, dtype=complex)
-    mat[flat] = _combine(coeffs, basis)
+    mat[_free_basis()[1]] = _free_values(params, phi_L)
     return mat.reshape(LIOUVILLE_DIM, LIOUVILLE_DIM)
 
 
@@ -229,6 +236,16 @@ def _exchange_basis() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(_linear_basis(functools.partial(rows, term)) for term in (plus, minus))
 
 
+def _exchange_values(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of V_plus and of V_minus for the tensor on the flat
+    positions of their _exchange_basis(), zeros included."""
+    t = np.asarray(tensor, dtype=complex)
+    if t.shape != (3, 3):
+        raise ValueError("tensor must be 3 x 3")
+    v_plus, v_minus = (_combine(t.reshape(-1), basis) for basis, _ in _exchange_basis())
+    return v_plus, v_minus
+
+
 def exchange_generators_from_tensor(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Photon-exchange generators for an arbitrary symmetric rank-2 tensor.
 
@@ -237,12 +254,9 @@ def exchange_generators_from_tensor(tensor: np.ndarray) -> tuple[np.ndarray, np.
     L = L_free + g V_plus + conj(g) V_minus.  Both annihilate the trace; only their g, g* weighted
     sum preserves Hermiticity.  Both are linear in the tensor.
     """
-    t = np.asarray(tensor, dtype=complex)
-    if t.shape != (3, 3):
-        raise ValueError("tensor must be 3 x 3")
     out = np.zeros((2, LIOUVILLE_DIM * LIOUVILLE_DIM), dtype=complex)
-    for v, (basis, flat) in zip(out, _exchange_basis()):
-        v[flat] = _combine(t.reshape(-1), basis)
+    for v, values, (_, flat) in zip(out, _exchange_values(tensor), _exchange_basis()):
+        v[flat] = values
     v_plus, v_minus = out.reshape(2, LIOUVILLE_DIM, LIOUVILLE_DIM)
     return v_plus, v_minus
 
@@ -251,3 +265,61 @@ def exchange_generators(n_hat: np.ndarray, gamma: float = 1.0) -> tuple[np.ndarr
     """Exchange generators for an atom pair oriented along n_hat."""
     return exchange_generators_from_tensor(gamma * transverse_projector(n_hat))
 
+
+class OperatorEntries:
+    """A 256 x 256 operator held as its nonzero entries, in row-major order.
+
+    apply() multiplies a vector or a block of columns by a gather and a sum
+    per row; block() gives the small dense block on chosen rows and
+    columns.  An entry that is zero, -0.0 included, is no entry, so the
+    same operator held as a dense array or on a basis that reaches more
+    positions has the same entries and gives the same bits.
+    """
+
+    def __init__(self, flat: np.ndarray, values: np.ndarray):
+        kept = values != 0
+        self.values = values[kept]
+        self.rows, self.cols = np.divmod(flat[kept], LIOUVILLE_DIM)
+        # the first entry of each row that holds any
+        self._starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
+
+    @classmethod
+    def from_dense(cls, matrix: np.ndarray) -> "OperatorEntries":
+        matrix = np.asarray(matrix, dtype=complex)
+        if matrix.shape != (LIOUVILLE_DIM, LIOUVILLE_DIM):
+            raise ValueError(
+                f"operator must be {LIOUVILLE_DIM} x {LIOUVILLE_DIM}, got shape {matrix.shape}"
+            )
+        flat = np.flatnonzero(matrix)
+        return cls(flat, matrix.reshape(-1)[flat])
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The operator times x, a 256-vector or 256 x k block."""
+        out = np.zeros(x.shape, dtype=complex)
+        if self._starts.size:
+            products = self.values.reshape((-1,) + (1,) * (x.ndim - 1)) * x[self.cols]
+            out[self.rows[self._starts]] = np.add.reduceat(products, self._starts, axis=0)
+        return out
+
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The dense block of the operator on the given rows and columns,
+        each a sequence of distinct indices."""
+        where_row = np.full(LIOUVILLE_DIM, -1)
+        where_row[rows] = np.arange(len(rows))
+        where_col = np.full(LIOUVILLE_DIM, -1)
+        where_col[cols] = np.arange(len(cols))
+        r, c = where_row[self.rows], where_col[self.cols]
+        inside = (r >= 0) & (c >= 0)
+        out = np.zeros((len(rows), len(cols)), dtype=complex)
+        out[r[inside], c[inside]] = self.values[inside]
+        return out
+
+
+def exchange_entries(
+    n_hat: np.ndarray, gamma: float = 1.0
+) -> tuple[OperatorEntries, OperatorEntries]:
+    """exchange_generators(n_hat, gamma) as their nonzero entries, without
+    a 256 x 256 array."""
+    values = _exchange_values(gamma * transverse_projector(n_hat))
+    v_plus, v_minus = (OperatorEntries(flat, v) for v, (_, flat) in zip(values, _exchange_basis()))
+    return v_plus, v_minus

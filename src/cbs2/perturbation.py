@@ -10,9 +10,14 @@ there.
 All correction orders are traceless and are obtained from deflated linear
 solves on the traceless subspace, where the free generator is invertible;
 the same deflated resolvent serves the spectral sweep at z = -i nu.
-build_expansion makes one sector pass per parameter point, whose sector
-blocks both the steady state and the resolvent read, and two solve calls
-at z = 0.
+build_expansion forms no 256 x 256 array: it fills the sector blocks of
+the free generator straight from the values of its cached basis, through
+a plan cached on their zero pattern, and both the steady state and the
+resolvent read those blocks; V+- enter as their nonzero entries
+(OperatorEntries).  Two solve calls at z = 0 give the orders.  The dense
+free_generator, zeroth_steady_state, DeflatedResolvent(gen, rho0) and
+perturbative_corrections stay the public reference and give the same
+bits.
 """
 
 from __future__ import annotations
@@ -26,7 +31,11 @@ from .generators import (
     HILBERT_DIM,
     LIOUVILLE_DIM,
     TRACE_VECTOR,
+    OperatorEntries,
+    _free_basis,
+    _free_values,
     _read_only,
+    exchange_entries,
     exchange_generators,
     free_generator,
     transition_operator,
@@ -107,6 +116,48 @@ def _sector_blocks(gen: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(index, gen[index[:, :, None], index[:, None, :]]) for index in _sectors(gen)]
 
 
+def _free_blocks(params: PhysParams, phi_L: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """_sector_blocks(free_generator(params, phi_L)), bit for bit, filled
+    straight from the values of the free basis."""
+    values = _free_values(params, phi_L)
+    groups = []
+    for index, entries, targets in _block_plan(np.packbits(values != 0).tobytes()):
+        count, dim = index.shape
+        blocks = np.zeros((count, dim, dim), dtype=complex)
+        blocks.reshape(-1)[targets] = values[entries]
+        groups.append((index, blocks))
+    return groups
+
+
+# one plan per zero pattern of the free basis values: a handful recur
+# (drive, detuning and drive phase zero or not)
+@functools.lru_cache(maxsize=32)
+def _block_plan(packed: bytes) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Per sector size of the free generator whose basis values are
+    nonzero where packed (np.packbits over the basis positions) says: the
+    (count, dim) sector indices, the basis positions that lie in a block,
+    and their flat targets in the (count, dim, dim) stack.  A zero value
+    inside a block is copied too, so the blocks hold what a gather from
+    the dense generator holds, signed zeros included."""
+    flat = _free_basis()[1]
+    nonzero = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=flat.size).astype(bool)
+    pattern = np.zeros(LIOUVILLE_DIM * LIOUVILLE_DIM, dtype=bool)
+    pattern[flat[nonzero]] = True
+    rows, cols = np.divmod(flat, LIOUVILLE_DIM)
+    plan = []
+    for index in _sectors_of(np.packbits(pattern).tobytes()):
+        count, dim = index.shape
+        sector = np.full(LIOUVILLE_DIM, -1)
+        sector[index] = np.arange(count)[:, None]
+        local = np.zeros(LIOUVILLE_DIM, dtype=int)
+        local[index] = np.arange(dim)
+        entries = np.flatnonzero((sector[rows] >= 0) & (sector[rows] == sector[cols]))
+        r, c = rows[entries], cols[entries]
+        targets = (sector[r] * dim + local[r]) * dim + local[c]
+        plan.append(tuple(_read_only(a) for a in (index, entries, targets)))
+    return tuple(plan)
+
+
 def zeroth_steady_state(gen: np.ndarray) -> np.ndarray:
     """Unique trace-one stationary state of the free generator.
 
@@ -115,12 +166,12 @@ def zeroth_steady_state(gen: np.ndarray) -> np.ndarray:
     residual, Hermiticity, positivity and uniqueness of the stationary
     direction.  A NaN or infinite entry of L raises ValueError.
     """
-    return _steady_state(gen, _sector_blocks(gen))
+    return _steady_state(_sector_blocks(gen))
 
 
-def _steady_state(gen: np.ndarray, groups) -> np.ndarray:
-    """zeroth_steady_state on the sector blocks of gen, as _sector_blocks
-    gives them."""
+def _steady_state(groups) -> np.ndarray:
+    """zeroth_steady_state on the sector blocks of a generator, as
+    _sector_blocks gives them."""
     # L is block diagonal in its sectors, so its singular values are those
     # of its blocks; every nonzero entry, NaN and inf included, lies in one
     if not all(np.isfinite(blocks).all() for _, blocks in groups):
@@ -145,7 +196,14 @@ def _steady_state(gen: np.ndarray, groups) -> np.ndarray:
     rho = rho.reshape(HILBERT_DIM, HILBERT_DIM)
     rho = 0.5 * (rho + rho.conj().T)
 
-    residual = np.linalg.norm(gen @ rho.reshape(-1))
+    # L maps the sector into itself, so with rho zero outside it L rho is
+    # the block times rho's entries there; the sector holds the transpose
+    # of each of its entries for a generator that keeps Hermiticity
+    outside = np.ones(LIOUVILLE_DIM, dtype=bool)
+    outside[populations] = False
+    if np.any(rho.reshape(-1)[outside]):
+        raise RuntimeError("steady state reaches outside the sector of the populations")
+    residual = np.linalg.norm(block @ rho.reshape(-1)[populations])
     if not residual <= 1e-10:
         raise RuntimeError(f"steady-state residual {residual:.3e} exceeds 1e-10")
     eigs = np.linalg.eigvalsh(rho)
@@ -314,6 +372,11 @@ class DeflatedResolvent:
             shifted[...] = deflated[reached]
             shifted.reshape(zs.size, reached.size, -1)[:, :, ::dim + 1] -= zs[:, None, None]
             x_r = _batched_solve(shifted, b_r)
+            # dropped before the residual's temporaries are made: glibc sets
+            # its trim threshold from the largest block freed, this one, and
+            # with it alive a 32-frequency call was trimmed and faulted back
+            # in every time, about 3,100 minor faults per 600-point spectrum
+            del shifted
             if not columns.all():
                 x_r = np.where(columns, x_r, b_r)
             x[:, rows, used] = x_r
@@ -362,14 +425,15 @@ class PerturbativeState:
     formed: they carry a net distance phase exp(+-2 i k0 r) that averages
     to zero over the configuration, and no intensity or spectrum reads
     them.  The deflated resolvent of the free generator and the exchange
-    generators, with which the orders were computed, are kept for the
-    spectral sweep.
+    generators V+ and V-, with which the orders were computed, are kept for
+    the spectral sweep; V+- as their nonzero entries (OperatorEntries),
+    not as 256 x 256 arrays.
     """
 
     orders: dict
     resolvent: DeflatedResolvent = field(repr=False)
-    v_plus: np.ndarray = field(repr=False)
-    v_minus: np.ndarray = field(repr=False)
+    v_plus: OperatorEntries = field(repr=False)
+    v_minus: OperatorEntries = field(repr=False)
 
     def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
         return self.orders[key]
@@ -387,22 +451,28 @@ def perturbative_corrections(
     (1, 0) and (0, 1), so each reached sector is factored once for both,
     and one for (1, 1), whose right-hand side needs both.  The orders
     (2, 0) and (0, 2) are left out: their distance phase averages to zero
-    and nothing reads them (see PerturbativeState).
+    and nothing reads them (see PerturbativeState).  V+- are applied from
+    their nonzero entries, as in build_expansion.
     """
-    return _corrections(DeflatedResolvent(free, rho0), v_plus, v_minus, rho0)
+    return _corrections(
+        DeflatedResolvent(free, rho0),
+        OperatorEntries.from_dense(v_plus),
+        OperatorEntries.from_dense(v_minus),
+        rho0,
+    )
 
 
 def _corrections(
     resolvent: DeflatedResolvent,
-    v_plus: np.ndarray,
-    v_minus: np.ndarray,
+    v_plus: OperatorEntries,
+    v_minus: OperatorEntries,
     rho0: np.ndarray,
 ) -> PerturbativeState:
     """perturbative_corrections with the deflated resolvent of the free
-    generator given."""
+    generator and the entries of V+- given."""
 
-    def push(v: np.ndarray, state: np.ndarray) -> np.ndarray:
-        return -(v @ state.reshape(-1))
+    def push(v: OperatorEntries, state: np.ndarray) -> np.ndarray:
+        return -v.apply(state.reshape(-1))
 
     first = resolvent.solve(0.0, np.stack([push(v_plus, rho0), push(v_minus, rho0)], axis=1))
     rho_10, rho_01 = np.ascontiguousarray(first.T).reshape(2, HILBERT_DIM, HILBERT_DIM)
@@ -421,20 +491,17 @@ def _corrections(
 
 
 def build_expansion(params: PhysParams, cfg: Configuration) -> PerturbativeState:
-    """Generators, zeroth order and corrections in one sector pass.
+    """Generators, zeroth order and corrections without a 256 x 256 array.
 
-    The free generator is split into its sectors once and each sector
-    block is gathered once, for the steady state and the resolvent alike;
-    the result equals perturbative_corrections(free, v_plus, v_minus,
-    zeroth_steady_state(free)) bit for bit.
+    The sector blocks of the free generator are filled once from the
+    values of its basis, for the steady state and the resolvent alike, and
+    V+- are taken as their nonzero entries; the result equals
+    perturbative_corrections(free, v_plus, v_minus,
+    zeroth_steady_state(free)) on the dense generators bit for bit.
     """
-    # both generators are allocated before the sector pass: allocating
-    # V+- after it, with the free generator alive, raised the peak memory
-    # of a long run of expansions by about 2 MiB
-    free = free_generator(params, cfg.phi_L)
-    v_plus, v_minus = exchange_generators(cfg.n_hat, params.gamma)
-    groups = _sector_blocks(free)
-    rho0 = _steady_state(free, groups)
+    groups = _free_blocks(params, cfg.phi_L)
+    rho0 = _steady_state(groups)
+    v_plus, v_minus = exchange_entries(cfg.n_hat, params.gamma)
     return _corrections(DeflatedResolvent._from_blocks(groups, rho0), v_plus, v_minus, rho0)
 
 

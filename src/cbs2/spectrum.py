@@ -36,12 +36,11 @@ SOURCE_ORDERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 #: Batching amortizes the per-call overhead.  Timed in fresh processes at
 #: omega = 1, 3 and 100 (600-point default grids, 2-vCPU host), a spectrum
 #: takes a median 74-102 ms at 8 frequencies per call, 52-69 ms at 16,
-#: 42-61 ms at 32 and 36-71 ms at 64.  A call peaks at 0.50/0.99/1.98 MiB
+#: 42-61 ms at 32 and 36-71 ms at 64.  A call peaks at 0.46/0.90/1.80 MiB
 #: at 16/32/64 frequencies (tracemalloc), mostly the per-shift copies of
-#: the 36-dimensional population block.  At 64 that reaches glibc's 2 MiB
-#: trim threshold: in a fresh process every call of the first engine
-#: returned its memory and faulted it back in, about 4,500 minor faults per
-#: spectrum against 10 at 8, 16 and 32.
+#: the 36-dimensional population block, which DeflatedResolvent.solve
+#: drops before it forms the residual, so that glibc does not return the
+#: heap to the system and fault it back in on every call.
 SWEEP_CHUNK = 32
 
 
@@ -199,12 +198,15 @@ class SpectrumEngine:
         # stage-1 source is cut to the sectors of its column.
         self._read = resolvent.restricted(np.flatnonzero(np.any(functionals != 0, axis=0)))
         read = self._read.rows
-        v_plus, v_minus = self.pert.v_plus[read], self.pert.v_minus[read]
+        is_read = np.zeros(LIOUVILLE_DIM, dtype=bool)
+        is_read[read] = True
+        v_pair = (self.pert.v_plus, self.pert.v_minus)
         sources = {a: regression_sources(self.pert, a) for a in (1, 2)}
         # columns: s01 of atoms 1 and 2, then s10 of atoms 1 and 2
         stage1 = np.zeros((LIOUVILLE_DIM, 4), dtype=complex)
-        for k, (v, key) in enumerate(((v_plus, (0, 1)), (v_minus, (1, 0)))):
-            cut = resolvent.sector_closure(np.flatnonzero(np.any(v != 0, axis=0)))
+        for k, (v, key) in enumerate(zip(v_pair, ((0, 1), (1, 0)))):
+            # the columns V+- reach from the read rows
+            cut = resolvent.sector_closure(v.cols[is_read[v.rows]])
             for a in (1, 2):
                 stage1[cut, 2 * k + a - 1] = sources[a][key].reshape(-1)[cut]
         self._stage1 = resolvent.restricted(np.flatnonzero(np.any(stage1 != 0, axis=1)))
@@ -212,7 +214,7 @@ class SpectrumEngine:
         self._sources = stage1[rows]
         # [V+ V-] on the read rows and the stage-1 rows, so that one product
         # gives V+ y01 + V- y10
-        self._v = np.concatenate([v_plus[:, rows], v_minus[:, rows]], axis=1)
+        self._v = np.concatenate([v.block(read, rows) for v in v_pair], axis=1)
         self._s11 = np.stack([sources[a][(1, 1)].reshape(-1)[read] for a in (1, 2)], axis=1)
         # negated: they read the stage-2 solution, which is -R (see
         # pair_transforms)

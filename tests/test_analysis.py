@@ -5,6 +5,9 @@ closed-form strong-drive profile (arctan and log antiderivatives), then
 the peak table of the numeric spectrum at omega = 100 gamma is checked.
 """
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.interpolate import InterpolatedUnivariateSpline
@@ -273,6 +276,34 @@ def test_window_weights_match_fitpack(strong_spectrum, monkeypatch):
     for (weight, abs_integral, _, _), (want_weight, want_abs, _, _) in zip(got, want):
         assert abs(weight - want_weight) <= 1e-13 * want_abs
         assert abs(abs_integral - want_abs) <= 1e-13 * want_abs
+
+
+def test_cached_legendre_rule_keeps_window_results_bitwise(strong_spectrum, monkeypatch):
+    # the rule is computed once per process and handed out read-only; the
+    # window results equal those of a rule computed afresh on every call
+    centers = [m * OMEGA for m in (0.0, 0.5, -1.0, 2.0)]
+    cases = [(which, center) for which in ("ladder", "crossed") for center in centers]
+    got = [window_stats(strong_spectrum, which, c, 25.0) for which, c in cases]
+    got_enhancement = filtered_enhancement(strong_spectrum, OMEGA, 25.0)
+    nodes, weights = analysis._legendre_rule()
+    assert analysis._legendre_rule() is analysis._legendre_rule()
+    assert not nodes.flags.writeable and not weights.flags.writeable
+
+    def fresh_nodes(window):
+        x, w = np.polynomial.legendre.leggauss(96)
+        return 0.5 * window * (x + 1.0), 0.5 * window * w
+
+    monkeypatch.setattr(analysis, "_window_nodes", fresh_nodes)
+    want = [window_stats(strong_spectrum, which, c, 25.0) for which, c in cases]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    want_enhancement = filtered_enhancement(strong_spectrum, OMEGA, 25.0)
+    assert np.float64(got_enhancement).tobytes() == np.float64(want_enhancement).tobytes()
+
+
+def test_legendre_rule_is_not_computed_at_import():
+    code = "import cbs2.analysis as a; print(a._legendre_rule.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
 
 
 @pytest.mark.parametrize(

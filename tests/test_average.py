@@ -47,6 +47,21 @@ def test_average_spec_validation():
         mc_average(AverageSpec(), theta=-0.1)
 
 
+@pytest.mark.parametrize(
+    "samples", [1000.0, 2.5, np.float64(1000.0)], ids=["float", "fraction", "numpy-float"]
+)
+def test_average_spec_refuses_non_integral_samples(samples):
+    # numpy draws an integral number of samples only; a float count would
+    # fail later, in mc_average, with an untyped TypeError
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        AverageSpec(samples=samples)
+
+
+def test_average_spec_takes_numpy_integer_samples():
+    spec = AverageSpec(samples=np.int64(1000), seed=3)
+    assert mc_average(spec) == mc_average(AverageSpec(samples=1000, seed=3))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_inputs_are_refused(bad):
     for name in ("ell_k0", "width_frac"):

@@ -1,15 +1,18 @@
 """Tests for the perturbative steady-state expansion in the exchange coupling."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import apply, partial_trace
 
-from cbs2 import oracle
+from cbs2 import oracle, perturbation
 from cbs2.generators import (
     HILBERT_DIM,
     LIOUVILLE_DIM,
+    OperatorEntries,
+    exchange_entries,
     exchange_generators,
     free_generator,
     transition_operator,
@@ -19,7 +22,9 @@ from cbs2.perturbation import (
     DeflatedResolvent,
     DegeneracyError,
     IntensityTerms,
-    _sectors_of,
+    _block_plan,
+    _free_blocks,
+    _sector_blocks,
     _trace_row_solve,
     build_expansion,
     checked_geometry_weight,
@@ -30,6 +35,7 @@ from cbs2.perturbation import (
     perturbative_corrections,
     zeroth_steady_state,
 )
+from cbs2.spectrum import SpectrumEngine
 
 ALL_ORDERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
@@ -150,15 +156,15 @@ def test_traceless_solver_contract():
 @pytest.mark.parametrize("omega", [0.5, 1.0, 10.0])
 def test_build_expansion_equals_public_constituents(omega, delta, phi_L, n_hat):
     # omega = 0.5 and 1 are the exceptional points Omega = gamma/2 and
-    # Omega = gamma.  build_expansion splits the free generator into its
-    # sectors once and shares the gathered blocks between steady state and
-    # resolvent; the public calls split it once each.  Every order agrees
-    # bit for bit.
+    # Omega = gamma.  build_expansion fills the sector blocks of the free
+    # generator once, through one lookup of the block plan, and shares them
+    # between steady state and resolvent; the public calls split the dense
+    # generator once each.  Every order agrees bit for bit.
     params = PhysParams(omega=omega, delta=delta)
     cfg = Configuration(n_hat=np.array(n_hat), phi_L=phi_L)
-    before = _sectors_of.cache_info()
+    before = _block_plan.cache_info()
     pert = build_expansion(params, cfg)
-    after = _sectors_of.cache_info()
+    after = _block_plan.cache_info()
     assert (after.hits + after.misses) - (before.hits + before.misses) == 1
     free = free_generator(params, phi_L)
     v_plus, v_minus = exchange_generators(cfg.n_hat, params.gamma)
@@ -166,6 +172,82 @@ def test_build_expansion_equals_public_constituents(omega, delta, phi_L, n_hat):
     assert pert.orders.keys() == want.orders.keys()
     for key, state in want.orders.items():
         assert pert[key].tobytes() == state.tobytes(), key
+
+
+@pytest.mark.parametrize("phi_L", [0.0, 2.5])
+@pytest.mark.parametrize("delta", [0.0, 3.0])
+@pytest.mark.parametrize("omega", [0.0, 1e-3, 1.0, 100.0])
+def test_free_blocks_equal_dense_sector_blocks(omega, delta, phi_L):
+    # the blocks filled straight from the basis values hold what the gather
+    # from the dense generator holds, bit for bit, signed zeros included;
+    # the grid reaches every zero pattern of the values the plan is keyed on
+    params = PhysParams(omega=omega, delta=delta)
+    got = _free_blocks(params, phi_L)
+    want = _sector_blocks(free_generator(params, phi_L))
+    assert len(got) == len(want)
+    for (index, blocks), (want_index, want_blocks) in zip(got, want):
+        assert np.array_equal(index, want_index)
+        assert blocks.shape == want_blocks.shape
+        assert blocks.tobytes() == want_blocks.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n_hat", [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.36, -0.48, 0.8)], ids=["x", "z", "oblique"]
+)
+def test_exchange_entries_apply_like_the_dense_generators(n_hat):
+    rng = np.random.default_rng(17)
+    dense = exchange_generators(np.array(n_hat), gamma=1.3)
+    entries = exchange_entries(np.array(n_hat), gamma=1.3)
+    x = rng.standard_normal((LIOUVILLE_DIM, 2)) + 1j * rng.standard_normal((LIOUVILLE_DIM, 2))
+    rows, cols = rng.permutation(LIOUVILLE_DIM)[:24], np.sort(rng.permutation(LIOUVILLE_DIM)[:60])
+    for v, op in zip(dense, entries):
+        # the same entries as the dense array, from either form
+        from_dense = OperatorEntries.from_dense(v)
+        for name in ("values", "rows", "cols"):
+            assert np.array_equal(getattr(op, name), getattr(from_dense, name))
+        assert np.array_equal(v[op.rows, op.cols], op.values)
+        assert np.count_nonzero(v) == op.values.size
+        # a gather and a sum per row against the BLAS product: both sum
+        # the same products, in another order
+        bound = 4 * np.finfo(float).eps * (np.abs(v) @ np.abs(x))
+        for column in (slice(None), 0):
+            got, want = op.apply(x[:, column]), v @ x[:, column]
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= bound[:, column])
+        assert np.array_equal(op.block(rows, cols), v[np.ix_(rows, cols)])
+
+
+def test_operator_entries_of_an_empty_operator():
+    op = OperatorEntries.from_dense(np.zeros((LIOUVILLE_DIM, LIOUVILLE_DIM)))
+    x = np.ones((LIOUVILLE_DIM, 3), dtype=complex)
+    assert np.array_equal(op.apply(x), np.zeros_like(x))
+    with pytest.raises(ValueError, match="256 x 256"):
+        OperatorEntries.from_dense(np.zeros((16, 16)))
+
+
+def test_build_expansion_allocates_no_256_by_256_array(monkeypatch):
+    # one complex 256 x 256 array is 1 MiB; after warm-up (cached bases and
+    # block plan) an expansion and its intensities stay below that
+    params = PhysParams(omega=1.0, delta=0.3)
+    cfg = Configuration(n_hat=(0.36, -0.48, 0.8), phi_L=0.7)
+    intensity_terms(build_expansion(params, cfg), cfg)
+    tracemalloc.start()
+    try:
+        intensity_terms(build_expansion(params, cfg), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < LIOUVILLE_DIM * LIOUVILLE_DIM * 16
+    # nor does it, or an engine's set-up, reach the dense constructions on
+    # a new zero pattern
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense 256 x 256 construction on the expansion path")
+
+    for name in ("free_generator", "exchange_generators", "_sectors", "_sector_blocks"):
+        monkeypatch.setattr(perturbation, name, refuse)
+    _block_plan.cache_clear()
+    SpectrumEngine(PhysParams(omega=2.0, delta=0.0), Configuration(phi_L=0.0))
 
 
 def test_corrections_traceless_and_conjugation_paired(expansion_s1):

@@ -6,6 +6,7 @@ with the closed-form weak-drive limit.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -453,9 +454,10 @@ def csr_apply(op, x):
 
 def full_two_stage_sweep(engine, nu):
     """pair_transforms on all 256 rows: R (s11 + V+ R s01 + V- R s10) with
-    uncut sources, both stages through the full resolvent, functionals on
-    the full vector."""
+    uncut sources, both stages through the full resolvent, V+- as the
+    dense exchange generators, functionals on the full vector."""
     pert = engine.pert
+    v_plus, v_minus = exchange_generators(engine.cfg.n_hat, engine.params.gamma)
     z = -1j * nu * engine.params.gamma
     sources = {a: regression_sources(pert, a) for a in (1, 2)}
     stage1 = np.stack(
@@ -463,7 +465,7 @@ def full_two_stage_sweep(engine, nu):
     )
     y = -pert.resolvent.solve(z, stage1)
     s11 = np.stack([sources[a][(1, 1)].reshape(-1) for a in (1, 2)], axis=1)
-    stage2 = s11 + csr_apply(pert.v_plus, y[:, :, :2]) + csr_apply(pert.v_minus, y[:, :, 2:])
+    stage2 = s11 + csr_apply(v_plus, y[:, :, :2]) + csr_apply(v_minus, y[:, :, 2:])
     total = -pert.resolvent.solve(z, stage2)
     functionals = sparse.csr_array(
         np.stack([transition_operator(b, 2, "lowering").T.reshape(-1) for b in (1, 2)])
@@ -522,6 +524,20 @@ def test_engine_reads_the_sector_closure_of_the_functionals(orientation):
     assert engine._read.rows.size == 24
     assert engine._stage1.rows.size == 60
     assert np.array_equal(engine._stage1.rows, sector_closure(matrix, engine._stage1.rows))
+
+
+def test_engine_set_up_allocates_no_256_by_256_array():
+    # one complex 256 x 256 array is 1 MiB; after warm-up an engine's set-up,
+    # its expansion included, stays below that
+    params, cfg = PhysParams(omega=3.0), Configuration(n_hat=ORIENTATIONS["random"], phi_L=0.8)
+    SpectrumEngine(params, cfg)
+    tracemalloc.start()
+    try:
+        SpectrumEngine(params, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < LIOUVILLE_DIM * LIOUVILLE_DIM * 16
 
 
 def test_restricted_resolvent_equals_full_solve_on_kept_sectors(free_and_rho0):
