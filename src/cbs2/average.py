@@ -29,6 +29,9 @@ ISOTROPIC_FACTOR = 2.0 / 15.0
 #: unreliable and a warning is issued.
 SMALL_ANGLE_LIMIT = 0.5
 
+#: Samples per chunk of the Monte Carlo draw: 96 KiB of normals.
+_MC_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class AverageSpec:
@@ -48,6 +51,9 @@ class AverageSpec:
         # the standard error takes the sample spread, defined from two samples
         if self.samples < 2:
             raise ValueError(f"samples must be at least 2, got {self.samples}")
+        # numpy seeds its generator from non-negative integers only
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0.0 <= self.width_frac < 1.0:
             raise ValueError("width_frac must lie in [0, 1)")
         if self.ell_k0 <= 0:
@@ -85,17 +91,35 @@ def mc_average(spec: AverageSpec, theta: float = 0.0) -> tuple[float, float]:
     |e_{+1}.Delta(n).e_{+1}|^2 cos(q . n r) with q the transferred
     wave vector of modulus 2 k0 sin(theta/2) transverse to the laser
     axis.  Returns (mean, standard_error); deterministic for fixed seed.
+
+    The draw runs in chunks of _MC_CHUNK samples and keeps two length-N
+    arrays, 16 bytes per sample: the first pass draws all normals and
+    stores n_x and the orientation factor, the second draws all distances
+    and multiplies in the fringe.  numpy's Generator gives the same numbers
+    drawn in consecutive chunks as at once, and every per-sample step is
+    elementwise, so the result does not depend on the chunk size.
     """
     _check_theta(theta)
     rng = np.random.default_rng(spec.seed)
-    n = rng.normal(size=(spec.samples, 3))
-    n /= np.linalg.norm(n, axis=1)[:, None]
-    r = spec.ell_k0 * (
-        1.0 + spec.width_frac * (2.0 * rng.random(spec.samples) - 1.0)
-    )
-    weight = 0.25 * (n[:, 0] ** 2 + n[:, 1] ** 2) ** 2
+    chunks = [
+        slice(start, min(start + _MC_CHUNK, spec.samples))
+        for start in range(0, spec.samples, _MC_CHUNK)
+    ]
+    n_x = np.empty(spec.samples)
+    values = np.empty(spec.samples)
+    for part in chunks:
+        n = rng.normal(size=(part.stop - part.start, 3))
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        n_x[part] = n[:, 0]
+        values[part] = 0.25 * (n[:, 0] ** 2 + n[:, 1] ** 2) ** 2
     q = 2.0 * math.sin(0.5 * theta)
-    values = weight * np.cos(q * r * n[:, 0])
+    for part in chunks:
+        r = spec.ell_k0 * (
+            1.0 + spec.width_frac * (2.0 * rng.random(part.stop - part.start) - 1.0)
+        )
+        values[part] *= np.cos(q * r * n_x[part])
+    # the spread below takes one more length-N temporary
+    del n_x
     mean = float(values.mean())
     sem = float(values.std(ddof=1) / math.sqrt(spec.samples))
     return mean, sem

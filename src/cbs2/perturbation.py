@@ -516,6 +516,25 @@ def checked_geometry_weight(weight: float) -> float:
     return weight
 
 
+def checked_order_11(pert: PerturbativeState) -> np.ndarray:
+    """Return the order-(1, 1) state, refusing it with RuntimeError unless
+    it is Hermitian to 1e-10 of its norm.
+
+    The ladder intensity is real because rho_11 is Hermitian; the test is
+    on the order itself, since the intensities scale with the orientation
+    weight while the rounding noise of their imaginary parts scales with
+    |rho_11|.
+    """
+    rho_11 = pert[(1, 1)]
+    defect = np.linalg.norm(rho_11 - rho_11.conj().T)
+    if not defect <= 1e-10 * np.linalg.norm(rho_11):
+        raise RuntimeError(
+            f"order (1, 1) is not Hermitian: defect {defect:.3e} of norm "
+            f"{np.linalg.norm(rho_11):.3e}"
+        )
+    return rho_11
+
+
 @dataclass(frozen=True)
 class IntensityTerms:
     """Backscattered intensity at combined order g * conj(g).
@@ -571,18 +590,8 @@ def intensity_terms(pert: PerturbativeState, cfg: Configuration) -> IntensityTer
     the drive phase difference.  Elastic parts are products of mean
     dipoles of combined order two.
     """
-    rho_11 = pert[(1, 1)]
+    rho_11 = checked_order_11(pert)
     phase = np.exp(1j * cfg.phi_L)
-
-    # the ladder total is real because rho_11 is Hermitian; test that on
-    # the order itself, since the total scales with the orientation weight
-    # while the rounding noise of its imaginary part scales with |rho_11|
-    defect = np.linalg.norm(rho_11 - rho_11.conj().T)
-    if not defect <= 1e-10 * np.linalg.norm(rho_11):
-        raise RuntimeError(
-            f"order (1, 1) is not Hermitian: defect {defect:.3e} of norm "
-            f"{np.linalg.norm(rho_11):.3e}"
-        )
     populations, cross_op = _detected_operators()
     ladder_total = np.trace(populations @ rho_11).real
     crossed_total = 2.0 * (complex(np.trace(cross_op @ rho_11)) * phase).real

@@ -26,6 +26,7 @@ from .perturbation import (
     ResolventPoleError,
     build_expansion,
     checked_geometry_weight,
+    checked_order_11,
     intensity_terms,
     mean_dipole_orders,
 )
@@ -187,6 +188,9 @@ class SpectrumEngine:
         self.params = params
         self.cfg = cfg
         self.pert = build_expansion(params, cfg)
+        # the (1, 1) source is rho_11 times the raising dipole: refuse the
+        # order where intensity_terms does
+        checked_order_11(self.pert)
         resolvent = self.pert.resolvent
         # row b-1 reads the lowering dipole of detection atom b
         functionals = np.stack(

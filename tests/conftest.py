@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from cbs2.acceptance import AcceptanceSuite
+from cbs2.average import AverageSpec, _check_theta
 from cbs2.generators import HILBERT_DIM
 from cbs2.geometry import Configuration, PhysParams
 from cbs2.perturbation import build_expansion
@@ -21,6 +24,24 @@ def partial_trace(rho: np.ndarray, keep_atom: int) -> np.ndarray:
     if keep_atom == 2:
         return np.einsum("abad->bd", r)
     raise ValueError("keep_atom must be 1 or 2")
+
+
+def one_shot_mc_average(spec: AverageSpec, theta: float = 0.0) -> tuple[float, float]:
+    """mc_average as it was before the chunked draw, with every sample
+    drawn at once: the bitwise reference of the chunked one."""
+    _check_theta(theta)
+    rng = np.random.default_rng(spec.seed)
+    n = rng.normal(size=(spec.samples, 3))
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    r = spec.ell_k0 * (
+        1.0 + spec.width_frac * (2.0 * rng.random(spec.samples) - 1.0)
+    )
+    weight = 0.25 * (n[:, 0] ** 2 + n[:, 1] ** 2) ** 2
+    q = 2.0 * math.sin(0.5 * theta)
+    values = weight * np.cos(q * r * n[:, 0])
+    mean = float(values.mean())
+    sem = float(values.std(ddof=1) / math.sqrt(spec.samples))
+    return mean, sem
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,13 @@
 """Tests for the isotropic configuration average of the geometry factors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import one_shot_mc_average
 
 from cbs2.average import (
+    _MC_CHUNK,
     ISOTROPIC_FACTOR,
     AverageSpec,
     angular_factor,
@@ -58,8 +62,50 @@ def test_average_spec_refuses_non_integral_samples(samples):
 
 
 def test_average_spec_takes_numpy_integer_samples():
-    spec = AverageSpec(samples=np.int64(1000), seed=3)
+    # and a numpy integer seed
+    spec = AverageSpec(samples=np.int64(1000), seed=np.int64(3))
     assert mc_average(spec) == mc_average(AverageSpec(samples=1000, seed=3))
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [1.5, 2.0, np.float64(3.0), "a", None, -1, np.int64(-1)],
+    ids=["fraction", "float", "numpy-float", "string", "none", "negative", "numpy-negative"],
+)
+def test_average_spec_refuses_seed_that_is_not_a_non_negative_integer(seed):
+    # numpy would refuse these only in mc_average, with an untyped TypeError
+    # or, for a negative seed, at draw time
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        AverageSpec(seed=seed)
+
+
+@pytest.mark.parametrize("width_frac", [0.0, 0.5])
+@pytest.mark.parametrize("theta", [0.0, 1e-3, 0.3])
+@pytest.mark.parametrize(
+    "samples", [2, _MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1, 100_000, 1_000_000]
+)
+def test_chunked_draw_equals_one_shot_draw(samples, theta, width_frac):
+    # the generator gives the same numbers in chunks as at once and every
+    # per-sample step is elementwise, so the estimate is the same bit for bit
+    spec = AverageSpec(samples=samples, seed=5, width_frac=width_frac)
+    assert mc_average(spec, theta) == one_shot_mc_average(spec, theta)
+
+
+def _traced_peak(spec):
+    tracemalloc.start()
+    try:
+        mc_average(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_average_keeps_two_arrays_of_samples():
+    # two float64 arrays of the samples, 16 bytes per sample, plus the
+    # temporaries of one chunk; a one-shot draw holds 64 bytes per sample
+    assert _traced_peak(AverageSpec()) < 3 * 2**20
+    samples = 1_000_000
+    assert _traced_peak(AverageSpec(samples=samples)) < 24 * samples
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

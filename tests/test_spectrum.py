@@ -30,6 +30,7 @@ from cbs2.perturbation import (
     DeflatedResolvent,
     _sectors,
     build_expansion,
+    intensity_terms,
     zeroth_steady_state,
 )
 from cbs2.spectrum import (
@@ -590,6 +591,18 @@ def test_restricted_resolvent_pole_in_kept_sector(free_and_rho0):
 def test_engine_rejects_degenerate_orientation():
     with pytest.raises(ValueError):
         SpectrumEngine(PhysParams.from_saturation(1.0), Configuration(n_hat=(0, 0, 1)))
+
+
+def test_engine_refuses_the_order_that_intensity_terms_refuses():
+    # at large detuning order (1, 1) fails its Hermiticity check; the engine
+    # builds its (1, 1) sources from that order, so it must refuse it too
+    # rather than return densities with a few good digits
+    params = PhysParams(omega=1.0, delta=1e4)
+    cfg = Configuration(n_hat=(0.36, -0.48, 0.8), phi_L=0.3)
+    with pytest.raises(RuntimeError, match=r"order \(1, 1\) is not Hermitian"):
+        intensity_terms(build_expansion(params, cfg), cfg)
+    with pytest.raises(RuntimeError, match=r"order \(1, 1\) is not Hermitian"):
+        SpectrumEngine(params, cfg)
 
 
 @pytest.fixture(scope="module")
