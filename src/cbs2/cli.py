@@ -134,15 +134,16 @@ def build_parser() -> _Parser:
         choices=("numeric", "oracle_weak", "oracle_strong"),
         default="numeric",
     )
-    norm = spec.add_mutually_exclusive_group()
-    norm.add_argument(
+    # one dest, so the last flag (the command line's) wins; --no- lets keys be false
+    spec.add_argument(
         "--normalized",
+        "--no-raw",
         dest="normalized",
         action="store_true",
         default=True,
         help="scale so the ladder density integrates to 1 (default)",
     )
-    norm.add_argument("--raw", dest="normalized", action="store_false")
+    spec.add_argument("--raw", "--no-normalized", dest="normalized", action="store_false")
     spec.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
     val = sub.add_parser("validate", help="run the acceptance battery")

@@ -41,6 +41,10 @@ EXCITED_LEVELS = (2, 3, 4)
 #: Helicity of the photon emitted on the e -> 1 transition.
 LEVEL_HELICITY = {2: -1, 3: 0, 4: +1}
 
+#: The m = -1 sublevel, helicity -1: its decay is what the
+#: helicity-preserving channel detects.
+DETECTED_LEVEL = 2
+
 #: Sign of the e_q coefficient of s_1e in the lowering dipole operator.
 DIPOLE_SIGN = {2: -1.0, 3: +1.0, 4: -1.0}
 

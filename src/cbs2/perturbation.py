@@ -15,9 +15,9 @@ the free generator straight from the values of its cached basis, through
 a plan cached on their zero pattern, and both the steady state and the
 resolvent read those blocks; V+- enter as their nonzero entries
 (OperatorEntries).  Two solve calls at z = 0 give the orders.  The dense
-free_generator, zeroth_steady_state, DeflatedResolvent(gen, rho0) and
-perturbative_corrections stay the public reference and give the same
-bits.
+free_generator, zeroth_steady_state and perturbative_corrections, which
+build DeflatedResolvent(_sector_blocks(gen), rho0), stay the public
+reference and give the same bits.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .generators import (
+    DETECTED_LEVEL,
     HILBERT_DIM,
     LIOUVILLE_DIM,
     TRACE_VECTOR,
@@ -53,26 +54,30 @@ class DegeneracyError(RuntimeError):
     """The free generator has more than one stationary direction."""
 
 
-def _sectors(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Index sets of the sectors of a generator that never couple.
+def _sector_blocks(gen: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The sector blocks of a dense 256 x 256 generator.
 
-    A sector is a connected component of the nonzero pattern of the
-    matrix, with the trace row joined to index 0, so that all populations
-    share the sector of index 0; the stationary state, the trace-row solve
-    and the deflation |rho0><trace| all lie inside it.  Returns one
-    (count, dim) array of sorted indices per sector size, in increasing
-    size, cached on the pattern and read-only.
+    A sector is a connected component of the nonzero pattern of gen, with
+    the trace row joined to index 0, so that all populations share the
+    sector of index 0; the stationary state, the trace-row solve and the
+    deflation |rho0><trace| all lie inside it.  Returns, per sector size in
+    increasing size, the (count, dim) array of sorted sector indices,
+    cached on the pattern and read-only, and the (count, dim, dim) stack of
+    the diagonal blocks of gen on them, gathered into an array of its own.
     """
-    pattern = matrix != 0
+    pattern = gen != 0
     if pattern.shape != (LIOUVILLE_DIM, LIOUVILLE_DIM):
         raise ValueError(
             f"generator must be {LIOUVILLE_DIM} x {LIOUVILLE_DIM}, got shape {pattern.shape}"
         )
-    return _sectors_of(np.packbits(pattern).tobytes())
+    return [
+        (index, gen[index[:, :, None], index[:, None, :]])
+        for index in _sectors_of(np.packbits(pattern).tobytes())
+    ]
 
 
-# a few patterns recur (drive, detuning zero or not); the bound keeps
-# arbitrary input matrices from growing the cache for the life of the process
+# the sector indices of _sector_blocks per packed nonzero pattern; a few recur, and
+# the bound keeps arbitrary input matrices from growing the cache for good
 @functools.lru_cache(maxsize=32)
 def _sectors_of(packed: bytes) -> tuple[np.ndarray, ...]:
     size = LIOUVILLE_DIM * LIOUVILLE_DIM
@@ -107,13 +112,6 @@ def _trace_row_solve(matrix: np.ndarray, trace: np.ndarray = TRACE_VECTOR) -> np
     b = np.zeros(a.shape[0], dtype=complex)
     b[0] = 1.0
     return np.linalg.solve(a, b)
-
-
-def _sector_blocks(gen: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per sector size (see _sectors), the (count, dim) sector indices and
-    the (count, dim, dim) stack of the diagonal blocks of gen on them,
-    gathered into arrays of their own."""
-    return [(index, gen[index[:, :, None], index[:, None, :]]) for index in _sectors(gen)]
 
 
 def _free_blocks(params: PhysParams, phi_L: float) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -234,23 +232,14 @@ class DeflatedResolvent:
     eigenvectors are formed, so exceptional points of L need no special
     treatment.
 
-    restricted() gives the same resolvent on some of the sectors only;
-    rows lists the entries of the 256-vector that its vectors hold (all of
-    them here).
+    groups are the sector blocks of L, as _sector_blocks gives them for a
+    dense generator and _free_blocks for the free generator; they are kept
+    without a copy.  restricted() gives the same resolvent on some of the
+    sectors only; rows lists the entries of the 256-vector that its
+    vectors hold (all of them here).
     """
 
-    def __init__(self, gen: np.ndarray, rho0: np.ndarray):
-        self._deflate(_sector_blocks(gen), rho0)
-
-    @classmethod
-    def _from_blocks(cls, groups, rho0: np.ndarray) -> "DeflatedResolvent":
-        """The resolvent on the sector blocks groups, as _sector_blocks
-        gives them; it keeps them, without a copy."""
-        out = object.__new__(cls)
-        out._deflate(groups, rho0)
-        return out
-
-    def _deflate(self, groups, rho0: np.ndarray) -> None:
+    def __init__(self, groups, rho0: np.ndarray):
         rho0 = np.asarray(rho0, dtype=complex).reshape(-1)
         deflated_groups = []
         for index, blocks in groups:
@@ -455,7 +444,7 @@ def perturbative_corrections(
     their nonzero entries, as in build_expansion.
     """
     return _corrections(
-        DeflatedResolvent(free, rho0),
+        DeflatedResolvent(_sector_blocks(free), rho0),
         OperatorEntries.from_dense(v_plus),
         OperatorEntries.from_dense(v_minus),
         rho0,
@@ -502,7 +491,7 @@ def build_expansion(params: PhysParams, cfg: Configuration) -> PerturbativeState
     groups = _free_blocks(params, cfg.phi_L)
     rho0 = _steady_state(groups)
     v_plus, v_minus = exchange_entries(cfg.n_hat, params.gamma)
-    return _corrections(DeflatedResolvent._from_blocks(groups, rho0), v_plus, v_minus, rho0)
+    return _corrections(DeflatedResolvent(groups, rho0), v_plus, v_minus, rho0)
 
 
 def checked_geometry_weight(weight: float) -> float:
@@ -568,14 +557,18 @@ def _detected_operators() -> tuple[np.ndarray, np.ndarray]:
     populations of the detected level summed over both atoms (ladder) and
     the raising dipole of atom 1 times the lowering dipole of atom 2
     (crossed)."""
-    populations = transition_operator(1, 2, "projector") + transition_operator(2, 2, "projector")
-    cross_op = transition_operator(1, 2, "raising") @ transition_operator(2, 2, "lowering")
+    populations = transition_operator(1, DETECTED_LEVEL, "projector") + transition_operator(
+        2, DETECTED_LEVEL, "projector"
+    )
+    cross_op = transition_operator(1, DETECTED_LEVEL, "raising") @ transition_operator(
+        2, DETECTED_LEVEL, "lowering"
+    )
     return _read_only(populations), _read_only(cross_op)
 
 
 def mean_dipole_orders(pert: PerturbativeState, atom: int) -> dict:
     """Order-resolved mean raising dipole <s_21> on the detected transition."""
-    raising = transition_operator(atom, 2, "raising")
+    raising = transition_operator(atom, DETECTED_LEVEL, "raising")
     return {
         key: complex(np.trace(raising @ state)) for key, state in pert.orders.items()
     }

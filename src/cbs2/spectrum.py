@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import LIOUVILLE_DIM, transition_operator
+from .generators import DETECTED_LEVEL, LIOUVILLE_DIM, transition_operator
 from .geometry import Configuration, PhysParams, require_finite
 from .perturbation import (
     PerturbativeState,
@@ -59,7 +59,7 @@ def regression_sources(pert: PerturbativeState, atom: int) -> dict:
     The drive never populates the detected excited level, so the (0, 0)
     source vanishes; that is checked here, and the sweep leaves it out.
     """
-    raising = transition_operator(atom, 2, "raising")
+    raising = transition_operator(atom, DETECTED_LEVEL, "raising")
     dipoles = mean_dipole_orders(pert, atom)
     connected = {}
     for m, n in SOURCE_ORDERS:
@@ -194,7 +194,7 @@ class SpectrumEngine:
         resolvent = self.pert.resolvent
         # row b-1 reads the lowering dipole of detection atom b
         functionals = np.stack(
-            [transition_operator(b, 2, "lowering").T.reshape(-1) for b in (1, 2)]
+            [transition_operator(b, DETECTED_LEVEL, "lowering").T.reshape(-1) for b in (1, 2)]
         )
         # L is block diagonal, so the sweep needs solutions only on the
         # sectors the functionals read: stage 2 solves there, stage 1 on
@@ -253,8 +253,11 @@ class SpectrumEngine:
         return out.reshape(2, f, 2).transpose(1, 2, 0)
 
     def densities(self, nu_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Normalized inelastic (ladder, crossed) densities on nu_grid."""
+        """Normalized inelastic (ladder, crossed) densities on the 1-d
+        nu_grid; an empty grid gives two empty arrays."""
         nu = np.asarray(nu_grid, dtype=float)
+        if nu.ndim != 1:
+            raise ValueError(f"nu_grid must be a 1-d array, got shape {nu.shape}")
         p = np.empty((nu.size, 2, 2), dtype=complex)
         for start in range(0, nu.size, SWEEP_CHUNK):
             p[start:start + SWEEP_CHUNK] = self.pair_transforms(nu[start:start + SWEEP_CHUNK])

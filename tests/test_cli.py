@@ -23,20 +23,26 @@ def run(capsys, *argv):
 
 def after_default_path(expression):
     """The value of expression, printed by a fresh interpreter after it has
-    run the import, the enhancement, spectrum and Monte-Carlo paths, and the
-    spline paths: the windowed weights, the filtered enhancement and the
-    quadrature of a grid without quadrature weights."""
+    imported cbs2.cli, as every `cbs2` command does, and run the
+    enhancement, spectrum and Monte-Carlo paths, and the spline paths: the
+    windowed weights, the filtered enhancement and the quadrature of a grid
+    without quadrature weights."""
     code = (
-        "import dataclasses, sys, numpy as np, cbs2\n"
-        "from cbs2.spectrum import oracle_spectrum_result\n"
-        "params, cfg = cbs2.PhysParams(omega=1.0), cbs2.Configuration()\n"
-        "cbs2.numeric_enhancement(params, cfg)\n"
-        "cbs2.SpectrumEngine(params, cfg).densities(np.linspace(-5.0, 5.0, 41))\n"
-        "cbs2.mc_average(cbs2.AverageSpec(samples=1000))\n"
+        "import dataclasses, sys, numpy as np\n"
+        "import cbs2.cli\n"
+        "from cbs2.analysis import filtered_enhancement, window_stats\n"
+        "from cbs2.average import AverageSpec, mc_average\n"
+        "from cbs2.geometry import Configuration, PhysParams\n"
+        "from cbs2.perturbation import numeric_enhancement\n"
+        "from cbs2.spectrum import SpectrumEngine, integrate_spectrum, oracle_spectrum_result\n"
+        "params, cfg = PhysParams(omega=1.0), Configuration()\n"
+        "numeric_enhancement(params, cfg)\n"
+        "SpectrumEngine(params, cfg).densities(np.linspace(-5.0, 5.0, 41))\n"
+        "mc_average(AverageSpec(samples=1000))\n"
         "spec = dataclasses.replace(oracle_spectrum_result(100.0), quad_weights=None)\n"
-        "cbs2.window_stats(spec, 'crossed', 50.0, 25.0)\n"
-        "cbs2.filtered_enhancement(spec, 100.0, 25.0)\n"
-        "cbs2.integrate_spectrum(spec)\n"
+        "window_stats(spec, 'crossed', 50.0, 25.0)\n"
+        "filtered_enhancement(spec, 100.0, 25.0)\n"
+        "integrate_spectrum(spec)\n"
         f"print({expression})\n"
     )
     return subprocess.run(
@@ -321,6 +327,46 @@ def test_config_usage_errors_and_position(tmp_path, capsys):
     code, out, _ = run(capsys, f"--config={cfg}", "enhancement-curve", "--points", "2")
     assert code == 0
     assert len(out.strip().split("\n")) == 3
+
+
+@pytest.mark.parametrize(
+    "line, flag",
+    [
+        ("normalized = true", "--normalized"),
+        ("normalized = false", "--raw"),
+        ("raw = true", "--raw"),
+        ("raw = false", "--normalized"),
+    ],
+)
+def test_config_normalization_keys(tmp_path, capsys, line, flag):
+    # both keys take both values; false picks the other normalization
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    args = ["spectrum", "--omega", "0.2", "--method", "oracle_weak",
+            "--nu-min", "-2", "--nu-max", "2", "--points", "5"]
+    code, out, err = run(capsys, args[0], "--config", str(cfg), *args[1:])
+    assert (code, err) == (0, "")
+    assert (code, out) == run(capsys, *args, flag)[:2]
+
+
+@pytest.mark.parametrize(
+    "line, flag",
+    [
+        ("normalized = false", "--normalized"),
+        ("raw = true", "--normalized"),
+        ("normalized = true", "--raw"),
+        ("raw = false", "--raw"),
+    ],
+)
+def test_config_normalization_key_is_overridden(tmp_path, capsys, line, flag):
+    # the command-line flag wins over the opposite config entry
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    args = ["spectrum", "--omega", "0.2", "--method", "oracle_weak",
+            "--nu-min", "-2", "--nu-max", "2", "--points", "5"]
+    code, out, err = run(capsys, args[0], "--config", str(cfg), *args[1:], flag)
+    assert (code, err) == (0, "")
+    assert (code, out) == run(capsys, *args, flag)[:2]
 
 
 def test_config_file_missing(capsys):

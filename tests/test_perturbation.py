@@ -136,7 +136,7 @@ def test_traceless_solver_contract():
     params = PhysParams.from_saturation(1.0)
     free = free_generator(params)
     rho0 = zeroth_steady_state(free)
-    solver = DeflatedResolvent(free, rho0)
+    solver = DeflatedResolvent(_sector_blocks(free), rho0)
     for _ in range(5):
         rhs = rng.standard_normal((HILBERT_DIM, HILBERT_DIM)) + 1j * rng.standard_normal(
             (HILBERT_DIM, HILBERT_DIM)
@@ -244,7 +244,7 @@ def test_build_expansion_allocates_no_256_by_256_array(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense 256 x 256 construction on the expansion path")
 
-    for name in ("free_generator", "exchange_generators", "_sectors", "_sector_blocks"):
+    for name in ("free_generator", "exchange_generators", "_sector_blocks"):
         monkeypatch.setattr(perturbation, name, refuse)
     _block_plan.cache_clear()
     SpectrumEngine(PhysParams(omega=2.0, delta=0.0), Configuration(phi_L=0.0))

@@ -6,6 +6,7 @@ with the closed-form weak-drive limit.
 """
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -28,7 +29,7 @@ from cbs2.generators import (
 from cbs2.geometry import Configuration, PhysParams
 from cbs2.perturbation import (
     DeflatedResolvent,
-    _sectors,
+    _sector_blocks,
     build_expansion,
     intensity_terms,
     zeroth_steady_state,
@@ -47,6 +48,12 @@ from cbs2.spectrum import (
 )
 
 
+def sector_indices(matrix):
+    """The sector indices of _sector_blocks, one (count, dim) array per
+    sector size."""
+    return [index for index, _ in _sector_blocks(matrix)]
+
+
 def random_traceless(rng):
     m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     return m - np.trace(m) / 16.0 * np.eye(16)
@@ -60,7 +67,7 @@ def free_and_rho0():
 
 def resolvent_apply(free, rho0, z, src):
     """(z - L)^-1 src for a traceless 16 x 16 source."""
-    x = -DeflatedResolvent(free, rho0).solve(z, src.reshape(-1))
+    x = -DeflatedResolvent(_sector_blocks(free), rho0).solve(z, src.reshape(-1))
     return x.reshape(16, 16)
 
 
@@ -122,7 +129,7 @@ def test_resolvent_matches_undeflated_solve(free_at_omega, nu):
     rng = np.random.default_rng(8)
     block = np.stack([random_traceless(rng).reshape(-1) for _ in range(3)], axis=1)
     z = -1j * np.asarray(nu)
-    x = DeflatedResolvent(free, rho0).solve(z, block)
+    x = DeflatedResolvent(_sector_blocks(free), rho0).solve(z, block)
     assert x.shape == z.shape + block.shape
     for z_f, x_f in zip(np.atleast_1d(z), x.reshape(-1, *block.shape)):
         for col in x_f.T:
@@ -139,7 +146,7 @@ def test_resolvent_pole_for_singular_deflation():
     rho0 = np.eye(16, dtype=complex) / 16.0
     src = random_traceless(np.random.default_rng(9))
     with pytest.raises(ResolventPoleError):
-        DeflatedResolvent(null, rho0).solve(0.0, src.reshape(-1))
+        DeflatedResolvent(_sector_blocks(null), rho0).solve(0.0, src.reshape(-1))
 
 
 def test_resolvent_pole_names_the_failing_shift():
@@ -148,7 +155,7 @@ def test_resolvent_pole_names_the_failing_shift():
     rho0 = np.eye(16, dtype=complex) / 16.0
     src = random_traceless(np.random.default_rng(10)).reshape(-1)
     with pytest.raises(ResolventPoleError, match=r"z = 0j"):
-        DeflatedResolvent(null, rho0).solve(np.array([1.0j, 0.0, -2.0j]), src)
+        DeflatedResolvent(_sector_blocks(null), rho0).solve(np.array([1.0j, 0.0, -2.0j]), src)
 
 
 def test_resolvent_leaves_unreached_sectors_at_zero(free_and_rho0):
@@ -157,7 +164,7 @@ def test_resolvent_leaves_unreached_sectors_at_zero(free_and_rho0):
     # column 1 on two other coherence sectors; X matches the dense solve
     # and is exactly 0 everywhere else
     free, rho0 = free_and_rho0
-    sectors = _sectors(free)
+    sectors = sector_indices(free)
     groups = {index.shape[1]: index for index in sectors}
     populations = next(index for group in sectors for index in group if index[0] == 0)
     columns = (
@@ -171,7 +178,7 @@ def test_resolvent_leaves_unreached_sectors_at_zero(free_and_rho0):
     block[0] -= TRACE_VECTOR @ block
     reached = np.concatenate(columns)
     nu = np.array([-1.0, 0.5, 3.0])
-    x = DeflatedResolvent(free, rho0).solve(-1j * nu, block)
+    x = DeflatedResolvent(_sector_blocks(free), rho0).solve(-1j * nu, block)
     unreached = np.setdiff1d(np.arange(LIOUVILLE_DIM), reached)
     assert np.all(x[:, unreached, :] == 0)
     for nu_f, x_f in zip(nu, x):
@@ -185,11 +192,11 @@ def test_resolvent_pole_only_in_reached_sectors(free_and_rho0):
     # leaves twelve singular 1 x 1 blocks at z = 0: a right-hand side that
     # reaches them raises, one that does not is solved as before
     free, rho0 = free_and_rho0
-    dead = next(index for index in _sectors(free) if index.shape[1] == 12)[0]
+    dead = next(index for index in sector_indices(free) if index.shape[1] == 12)[0]
     matrix = free.copy()
     matrix[dead, :] = 0.0
     matrix[:, dead] = 0.0
-    resolvent = DeflatedResolvent(matrix, rho0)
+    resolvent = DeflatedResolvent(_sector_blocks(matrix), rho0)
     src = random_traceless(np.random.default_rng(12)).reshape(-1)
     with pytest.raises(ResolventPoleError):
         resolvent.solve(0.0, src)
@@ -197,7 +204,7 @@ def test_resolvent_pole_only_in_reached_sectors(free_and_rho0):
     live[dead] = 0.0
     x = resolvent.solve(0.0, live)
     assert np.all(x[dead] == 0)
-    want = DeflatedResolvent(free, rho0).solve(0.0, live)
+    want = DeflatedResolvent(_sector_blocks(free), rho0).solve(0.0, live)
     assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -220,7 +227,7 @@ def test_multi_column_solve_equals_one_column_solves(free_and_rho0, z):
         axis=1,
     )
     assert not np.array_equal(block[:, 0] != 0, block[:, 1] != 0)
-    resolvent = DeflatedResolvent(free, rho0)
+    resolvent = DeflatedResolvent(_sector_blocks(free), rho0)
     x = resolvent.solve(z, block)
     for k in range(block.shape[1]):
         assert x[..., k].tobytes() == resolvent.solve(z, block[:, k]).tobytes(), k
@@ -243,7 +250,7 @@ def test_shared_right_hand_side_equals_stacked_copies(free_and_rho0, shape):
     if shape == "vector":
         block = block[:, 0]
     z = -1j * np.array([-2.0, -0.5, 0.0, 0.5, 3.0])
-    resolvent = DeflatedResolvent(free, rho0)
+    resolvent = DeflatedResolvent(_sector_blocks(free), rho0)
     want = resolvent.solve(z, np.repeat(block.reshape(1, LIOUVILLE_DIM, -1), z.size, axis=0))
     assert resolvent.solve(z, block).tobytes() == want.tobytes()
 
@@ -270,11 +277,11 @@ def test_resolvent_refuses_non_finite_right_hand_side(free_and_rho0, bad, z, per
     else:
         src[17] = bad
     with pytest.raises(ValueError, match="right-hand side has non-finite entries"):
-        DeflatedResolvent(free, rho0).solve(z, src)
+        DeflatedResolvent(_sector_blocks(free), rho0).solve(z, src)
 
 
 def connected_sectors(matrix):
-    """The sectors of _sectors as a set of index tuples, straight from
+    """The sectors of _sector_blocks as a set of index tuples, straight from
     connected_components on the pattern with the trace row joined."""
     pattern = matrix != 0
     pattern[0] |= TRACE_VECTOR != 0
@@ -297,7 +304,7 @@ def random_pattern_matrix(seed):
 def test_cached_sectors_equal_connected_components(omega, delta, phi_L):
     gen = free_generator(PhysParams(omega=omega, delta=delta), phi_L)
     for matrix in (gen, random_pattern_matrix(13), gen):
-        sectors = _sectors(matrix)
+        sectors = sector_indices(matrix)
         split = {tuple(index) for group in sectors for index in group}
         assert split == connected_sectors(matrix)
         # one (count, dim) group per sector size, in increasing size
@@ -307,17 +314,17 @@ def test_cached_sectors_equal_connected_components(omega, delta, phi_L):
         for group in sectors:
             assert not group.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        _sectors(gen)[0][0, 0] = 1
+        sector_indices(gen)[0][0, 0] = 1
 
 
 def test_resolvent_keeps_own_copy_of_generator():
     # the resolvent solves with, and checks its residual against, blocks of
-    # L it gathered itself: a change to the caller's matrix after the
-    # resolvent is built must not reach it
+    # L that _sector_blocks gathered into arrays of their own: a change to
+    # the caller's matrix after the resolvent is built must not reach it
     src = random_traceless(np.random.default_rng(14)).reshape(-1)
     for params in (PhysParams.from_saturation(1.0), PhysParams(omega=2.0, delta=3.0)):
         gen = free_generator(params)
-        resolvent = DeflatedResolvent(gen, zeroth_steady_state(gen))
+        resolvent = DeflatedResolvent(_sector_blocks(gen), zeroth_steady_state(gen))
         want = resolvent.solve(np.array([0.0, 0.5j]), src)
         gen[:] = 7.0
         assert np.array_equal(resolvent.solve(np.array([0.0, 0.5j]), src), want)
@@ -507,7 +514,7 @@ def test_pair_transforms_equal_full_two_stage_sweep(omega, delta, orientation):
 def sector_closure(matrix, rows):
     """Union of the sectors of matrix that hold any of rows."""
     return np.unique(np.concatenate([
-        index for group in _sectors(matrix) for index in group if np.isin(index, rows).any()
+        index for group in sector_indices(matrix) for index in group if np.isin(index, rows).any()
     ]))
 
 
@@ -545,8 +552,8 @@ def test_restricted_resolvent_equals_full_solve_on_kept_sectors(free_and_rho0):
     # a right-hand side on the population sector and one 12-dimensional
     # sector: the restricted solve gives the kept entries of the full one
     free, rho0 = free_and_rho0
-    full = DeflatedResolvent(free, rho0)
-    sectors = _sectors(free)
+    full = DeflatedResolvent(_sector_blocks(free), rho0)
+    sectors = sector_indices(free)
     populations = next(index for group in sectors for index in group if index[0] == 0)
     coherences = next(group for group in sectors if group.shape[1] == 12)[3]
     rows = np.concatenate([populations, coherences])
@@ -563,7 +570,7 @@ def test_restricted_resolvent_equals_full_solve_on_kept_sectors(free_and_rho0):
 
 def test_restricted_resolvent_refuses_traced_right_hand_side(free_and_rho0):
     free, rho0 = free_and_rho0
-    restricted = DeflatedResolvent(free, rho0).restricted([0])
+    restricted = DeflatedResolvent(_sector_blocks(free), rho0).restricted([0])
     src = np.random.default_rng(16).standard_normal(restricted.rows.size) + 0j
     assert abs(TRACE_VECTOR[restricted.rows] @ src) > 1e-3
     with pytest.raises(ValueError, match="traceless"):
@@ -576,12 +583,12 @@ def test_restricted_resolvent_pole_in_kept_sector(free_and_rho0):
     # singular 1 x 1 sectors at z = 0: a resolvent restricted to one of
     # them and a live sector raises there, and solves off the pole
     free, rho0 = free_and_rho0
-    group = next(index for index in _sectors(free) if index.shape[1] == 12)
+    group = next(index for index in sector_indices(free) if index.shape[1] == 12)
     dead, live = group[0], group[1]
     matrix = free.copy()
     matrix[dead, :] = 0.0
     matrix[:, dead] = 0.0
-    restricted = DeflatedResolvent(matrix, rho0).restricted([dead[0], live[0]])
+    restricted = DeflatedResolvent(_sector_blocks(matrix), rho0).restricted([dead[0], live[0]])
     src = random_traceless(np.random.default_rng(17)).reshape(-1)[restricted.rows]
     with pytest.raises(ResolventPoleError):
         restricted.solve(0.0, src)
@@ -704,6 +711,20 @@ def test_densities_do_not_depend_on_chunking(engine_s1):
     single = [engine_s1.densities(nu[i:i + 1]) for i in range(nu.size)]
     assert np.array_equal(ladder, np.concatenate([pair[0] for pair in single]))
     assert np.array_equal(crossed, np.concatenate([pair[1] for pair in single]))
+
+
+@pytest.mark.parametrize(
+    "grid", [0.5, np.zeros((2, 3)), [[0.1], [0.2]]], ids=["0-d", "2x3", "2x1"]
+)
+def test_densities_refuse_a_grid_that_is_not_1d(engine_s1, grid):
+    shape = np.shape(grid)
+    with pytest.raises(ValueError, match=rf"1-d array, got shape {re.escape(str(shape))}"):
+        engine_s1.densities(grid)
+
+
+def test_densities_on_an_empty_grid(engine_s1):
+    ladder, crossed = engine_s1.densities([])
+    assert ladder.shape == crossed.shape == (0,)
 
 
 @pytest.mark.filterwarnings("error")
