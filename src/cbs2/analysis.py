@@ -84,6 +84,12 @@ def _validate_window(spec: SpectrumResult, center: float, window: float) -> None
 
 
 def window_stats(spec: SpectrumResult, which: str, center: float, window: float):
+    """Integrals of the 'ladder' or 'crossed' inelastic density over
+    [center - window, center + window], by Gauss-Legendre quadrature of its
+    spline.  Returns the 4-tuple (weight, absolute integral, even fraction,
+    odd fraction): the integral of the density and of its modulus, and the
+    L2 norms of its parts even and odd about center, each divided by the
+    norm of the whole."""
     _validate_window(spec, center, window)
     densities = {"ladder": spec.ladder_inel, "crossed": spec.crossed_inel}
     if which not in densities:

@@ -17,10 +17,11 @@ on chosen entries only.
 
 Both generators are linear in their parameters and are filled from bases
 built once from spre, spost and sandwich on the entries their Kronecker
-products reach.  free_generator and exchange_generators give them as
-dense complex 256 x 256 arrays, the public reference; the expansion reads
-the same values on the reached entries only, and applies V+- as an
-OperatorEntries.  The stationary trace constraint is handled by the
+products reach.  Every generator is built as an OperatorEntries, its
+nonzero entries in row-major order (free_entries, exchange_entries); the
+dense complex 256 x 256 arrays of free_generator and exchange_generators,
+the public reference, are those entries scattered by
+OperatorEntries.dense.  The stationary trace constraint is handled by the
 solvers, not by deflating the generator itself.
 """
 
@@ -192,16 +193,17 @@ def _free_basis() -> tuple[np.ndarray, np.ndarray]:
     return _linear_basis(parts)
 
 
-def _free_values(params: PhysParams, phi_L: float) -> np.ndarray:
-    """The entries of free_generator(params, phi_L) on the flat positions
-    of _free_basis(), zeros included."""
+def free_entries(params: PhysParams, phi_L: float) -> OperatorEntries:
+    """free_generator(params, phi_L) as its nonzero entries, without a
+    256 x 256 array."""
     drive_1 = params.omega + 0j
     drive_2 = params.omega * np.exp(1j * phi_L)
     coeffs = np.array(
         [params.gamma, params.delta, drive_1, np.conj(drive_1), drive_2, np.conj(drive_2)],
         dtype=complex,
     )
-    return _combine(coeffs, _free_basis()[0])
+    basis, flat = _free_basis()
+    return OperatorEntries(flat, _combine(coeffs, basis))
 
 
 def free_generator(params: PhysParams, phi_L: float = 0.0) -> np.ndarray:
@@ -213,9 +215,7 @@ def free_generator(params: PhysParams, phi_L: float = 0.0) -> np.ndarray:
     delta and the two complex drives and their conjugates, and is filled
     from the cached basis of those parts.
     """
-    mat = np.zeros(LIOUVILLE_DIM * LIOUVILLE_DIM, dtype=complex)
-    mat[_free_basis()[1]] = _free_values(params, phi_L)
-    return mat.reshape(LIOUVILLE_DIM, LIOUVILLE_DIM)
+    return free_entries(params, phi_L).dense()
 
 
 @functools.cache
@@ -240,14 +240,14 @@ def _exchange_basis() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(_linear_basis(functools.partial(rows, term)) for term in (plus, minus))
 
 
-def _exchange_values(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of V_plus and of V_minus for the tensor on the flat
-    positions of their _exchange_basis(), zeros included."""
+def _exchange_entries(tensor: np.ndarray) -> tuple[OperatorEntries, OperatorEntries]:
+    """V_plus and V_minus for the tensor as their nonzero entries."""
     t = np.asarray(tensor, dtype=complex)
     if t.shape != (3, 3):
         raise ValueError("tensor must be 3 x 3")
-    v_plus, v_minus = (_combine(t.reshape(-1), basis) for basis, _ in _exchange_basis())
-    return v_plus, v_minus
+    return tuple(
+        OperatorEntries(flat, _combine(t.reshape(-1), basis)) for basis, flat in _exchange_basis()
+    )
 
 
 def exchange_generators_from_tensor(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,11 +258,7 @@ def exchange_generators_from_tensor(tensor: np.ndarray) -> tuple[np.ndarray, np.
     L = L_free + g V_plus + conj(g) V_minus.  Both annihilate the trace; only their g, g* weighted
     sum preserves Hermiticity.  Both are linear in the tensor.
     """
-    out = np.zeros((2, LIOUVILLE_DIM * LIOUVILLE_DIM), dtype=complex)
-    for v, values, (_, flat) in zip(out, _exchange_values(tensor), _exchange_basis()):
-        v[flat] = values
-    v_plus, v_minus = out.reshape(2, LIOUVILLE_DIM, LIOUVILLE_DIM)
-    return v_plus, v_minus
+    return tuple(v.dense() for v in _exchange_entries(tensor))
 
 
 def exchange_generators(n_hat: np.ndarray, gamma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -273,22 +269,22 @@ def exchange_generators(n_hat: np.ndarray, gamma: float = 1.0) -> tuple[np.ndarr
 class OperatorEntries:
     """A 256 x 256 operator held as its nonzero entries, in row-major order.
 
-    apply() multiplies a vector or a block of columns by a gather and a sum
-    per row; block() gives the small dense block on chosen rows and
-    columns.  An entry that is zero, -0.0 included, is no entry, so the
-    same operator held as a dense array or on a basis that reaches more
-    positions has the same entries and gives the same bits.
+    flat holds their sorted positions.  apply() multiplies a vector or a
+    block of columns by a gather and a sum per row; block() gives the small
+    dense block on chosen rows and columns, dense() the whole array.  A zero
+    entry, -0.0 included, is no entry, so the same operator held as a dense
+    array or on a basis that reaches more positions gives the same bits.
     """
 
     def __init__(self, flat: np.ndarray, values: np.ndarray):
         kept = values != 0
-        self.values = values[kept]
-        self.rows, self.cols = np.divmod(flat[kept], LIOUVILLE_DIM)
-        # the first entry of each row that holds any
-        self._starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
+        self.flat, self.values = flat[kept], values[kept]
+        self.rows, self.cols = np.divmod(self.flat, LIOUVILLE_DIM)
+        # the first entry of each row that holds any (np.diff costs 3 times this)
+        self._starts = np.flatnonzero(self.rows != np.concatenate(([-1], self.rows[:-1])))
 
     @classmethod
-    def from_dense(cls, matrix: np.ndarray) -> "OperatorEntries":
+    def from_dense(cls, matrix: np.ndarray) -> OperatorEntries:
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (LIOUVILLE_DIM, LIOUVILLE_DIM):
             raise ValueError(
@@ -296,6 +292,12 @@ class OperatorEntries:
             )
         flat = np.flatnonzero(matrix)
         return cls(flat, matrix.reshape(-1)[flat])
+
+    def dense(self) -> np.ndarray:
+        """The operator as a complex 256 x 256 array."""
+        out = np.zeros(LIOUVILLE_DIM * LIOUVILLE_DIM, dtype=complex)
+        out[self.flat] = self.values
+        return out.reshape(LIOUVILLE_DIM, LIOUVILLE_DIM)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The operator times x, a 256-vector or 256 x k block."""
@@ -324,6 +326,4 @@ def exchange_entries(
 ) -> tuple[OperatorEntries, OperatorEntries]:
     """exchange_generators(n_hat, gamma) as their nonzero entries, without
     a 256 x 256 array."""
-    values = _exchange_values(gamma * transverse_projector(n_hat))
-    v_plus, v_minus = (OperatorEntries(flat, v) for v, (_, flat) in zip(values, _exchange_basis()))
-    return v_plus, v_minus
+    return _exchange_entries(gamma * transverse_projector(n_hat))

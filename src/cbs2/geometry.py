@@ -85,8 +85,15 @@ class PhysParams:
 
     @property
     def saturation(self) -> float:
-        """Saturation parameter s = omega^2 / (2 (gamma^2 + delta^2))."""
-        return self.omega**2 / (2.0 * (self.gamma**2 + self.delta**2))
+        """Saturation parameter s = omega^2 / (2 (gamma^2 + delta^2)).  A
+        square beyond the float range raises ValueError."""
+        try:
+            return self.omega**2 / (2.0 * (self.gamma**2 + self.delta**2))
+        except OverflowError:
+            raise ValueError(
+                f"saturation overflows a float at omega = {self.omega}, "
+                f"gamma = {self.gamma}, delta = {self.delta}"
+            ) from None
 
     @classmethod
     def from_saturation(cls, s: float, gamma: float = 1.0, delta: float = 0.0) -> "PhysParams":

@@ -10,14 +10,15 @@ there.
 All correction orders are traceless and are obtained from deflated linear
 solves on the traceless subspace, where the free generator is invertible;
 the same deflated resolvent serves the spectral sweep at z = -i nu.
-build_expansion forms no 256 x 256 array: it fills the sector blocks of
-the free generator straight from the values of its cached basis, through
-a plan cached on their zero pattern, and both the steady state and the
-resolvent read those blocks; V+- enter as their nonzero entries
-(OperatorEntries).  Two solve calls at z = 0 give the orders.  The dense
-free_generator, zeroth_steady_state and perturbative_corrections, which
-build DeflatedResolvent(_sector_blocks(gen), rho0), stay the public
-reference and give the same bits.
+_sector_blocks takes a generator as an OperatorEntries and scatters its
+entries into its sector blocks through one plan, cached on the positions
+of the entries.  build_expansion forms no 256 x 256 array: it takes the
+blocks of free_entries, which the steady state and the resolvent share,
+and applies V+- from their entries.  Two solve calls at z = 0 give the
+orders.  The dense free_generator, zeroth_steady_state and
+perturbative_corrections, which read their arrays through
+OperatorEntries.from_dense, stay the public reference and give the same
+bits.
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ from .generators import (
     LIOUVILLE_DIM,
     TRACE_VECTOR,
     OperatorEntries,
-    _free_basis,
-    _free_values,
     _read_only,
     exchange_entries,
     exchange_generators,
+    free_entries,
     free_generator,
     transition_operator,
 )
@@ -54,35 +54,41 @@ class DegeneracyError(RuntimeError):
     """The free generator has more than one stationary direction."""
 
 
-def _sector_blocks(gen: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The sector blocks of a dense 256 x 256 generator.
+def _sector_blocks(op: OperatorEntries) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The sector blocks of a 256 x 256 generator given as its entries.
 
-    A sector is a connected component of the nonzero pattern of gen, with
-    the trace row joined to index 0, so that all populations share the
-    sector of index 0; the stationary state, the trace-row solve and the
-    deflation |rho0><trace| all lie inside it.  Returns, per sector size in
-    increasing size, the (count, dim) array of sorted sector indices,
-    cached on the pattern and read-only, and the (count, dim, dim) stack of
-    the diagonal blocks of gen on them, gathered into an array of its own.
+    A sector is a connected component of the nonzero pattern of the
+    generator, with the trace row joined to index 0, so that all
+    populations share the sector of index 0; the stationary state, the
+    trace-row solve and the deflation |rho0><trace| all lie inside it.
+    Returns, per sector size in increasing size, the (count, dim) array of
+    sorted sector indices, cached on the pattern and read-only, and the
+    (count, dim, dim) stack of the diagonal blocks of the generator on
+    them, an array of its own.
     """
-    pattern = gen != 0
-    if pattern.shape != (LIOUVILLE_DIM, LIOUVILLE_DIM):
-        raise ValueError(
-            f"generator must be {LIOUVILLE_DIM} x {LIOUVILLE_DIM}, got shape {pattern.shape}"
-        )
-    return [
-        (index, gen[index[:, :, None], index[:, None, :]])
-        for index in _sectors_of(np.packbits(pattern).tobytes())
-    ]
+    groups = []
+    for index, entries, targets in _block_plan(op.flat.tobytes()):
+        count, dim = index.shape
+        blocks = np.zeros((count, dim, dim), dtype=complex)
+        blocks.reshape(-1)[targets] = op.values[entries]
+        groups.append((index, blocks))
+    return groups
 
 
-# the sector indices of _sector_blocks per packed nonzero pattern; a few recur, and
-# the bound keeps arbitrary input matrices from growing the cache for good
+# one plan per nonzero pattern: a few recur (drive, detuning and drive
+# phase zero or not), and the bound keeps arbitrary input matrices from
+# growing the cache for good
 @functools.lru_cache(maxsize=32)
-def _sectors_of(packed: bytes) -> tuple[np.ndarray, ...]:
-    size = LIOUVILLE_DIM * LIOUVILLE_DIM
-    pattern = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=size).astype(bool)
-    pattern = pattern.reshape(LIOUVILLE_DIM, LIOUVILLE_DIM)
+def _block_plan(flat: bytes) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The sectors of an operator whose entries lie at the flat positions
+    given (OperatorEntries.flat as bytes) and where its entries go: per
+    sector size, the (count, dim) sector indices, the entries whose row
+    lies in a sector of that size, and their flat targets in the
+    (count, dim, dim) stack of blocks.  An entry links its row and its
+    column, so both lie in one sector and every entry lands in a block."""
+    rows, cols = np.divmod(np.frombuffer(flat, dtype=np.intp), LIOUVILLE_DIM)
+    pattern = np.zeros((LIOUVILLE_DIM, LIOUVILLE_DIM), dtype=bool)
+    pattern[rows, cols] = True
     pattern[0] |= TRACE_VECTOR != 0
     # i and j are linked when entry (i, j) or (j, i) is nonzero; each index
     # takes the smallest index linked to it until nothing changes, which
@@ -95,13 +101,17 @@ def _sectors_of(packed: bytes) -> tuple[np.ndarray, ...]:
             break
         labels = smallest
     sizes = np.bincount(labels, minlength=LIOUVILLE_DIM)
-    sectors = tuple(
-        np.stack([np.flatnonzero(labels == c) for c in np.flatnonzero(sizes == size)])
-        for size in np.flatnonzero(np.bincount(sizes)[1:]) + 1
-    )
-    for array in sectors:
-        array.flags.writeable = False
-    return sectors
+    plan = []
+    for dim in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
+        index = np.stack([np.flatnonzero(labels == c) for c in np.flatnonzero(sizes == dim)])
+        # where[r] = k dim + i for the i-th index r of sector k, so entry
+        # (r, c), c the j-th index of that sector, goes to (k dim + i) dim + j
+        where = np.full(LIOUVILLE_DIM, -1)
+        where[index] = np.arange(index.size).reshape(index.shape)
+        entries = np.flatnonzero(where[rows] >= 0)
+        targets = where[rows[entries]] * dim + where[cols[entries]] % dim
+        plan.append(tuple(_read_only(a) for a in (index, entries, targets)))
+    return tuple(plan)
 
 
 def _trace_row_solve(matrix: np.ndarray, trace: np.ndarray = TRACE_VECTOR) -> np.ndarray:
@@ -114,48 +124,6 @@ def _trace_row_solve(matrix: np.ndarray, trace: np.ndarray = TRACE_VECTOR) -> np
     return np.linalg.solve(a, b)
 
 
-def _free_blocks(params: PhysParams, phi_L: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """_sector_blocks(free_generator(params, phi_L)), bit for bit, filled
-    straight from the values of the free basis."""
-    values = _free_values(params, phi_L)
-    groups = []
-    for index, entries, targets in _block_plan(np.packbits(values != 0).tobytes()):
-        count, dim = index.shape
-        blocks = np.zeros((count, dim, dim), dtype=complex)
-        blocks.reshape(-1)[targets] = values[entries]
-        groups.append((index, blocks))
-    return groups
-
-
-# one plan per zero pattern of the free basis values: a handful recur
-# (drive, detuning and drive phase zero or not)
-@functools.lru_cache(maxsize=32)
-def _block_plan(packed: bytes) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Per sector size of the free generator whose basis values are
-    nonzero where packed (np.packbits over the basis positions) says: the
-    (count, dim) sector indices, the basis positions that lie in a block,
-    and their flat targets in the (count, dim, dim) stack.  A zero value
-    inside a block is copied too, so the blocks hold what a gather from
-    the dense generator holds, signed zeros included."""
-    flat = _free_basis()[1]
-    nonzero = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=flat.size).astype(bool)
-    pattern = np.zeros(LIOUVILLE_DIM * LIOUVILLE_DIM, dtype=bool)
-    pattern[flat[nonzero]] = True
-    rows, cols = np.divmod(flat, LIOUVILLE_DIM)
-    plan = []
-    for index in _sectors_of(np.packbits(pattern).tobytes()):
-        count, dim = index.shape
-        sector = np.full(LIOUVILLE_DIM, -1)
-        sector[index] = np.arange(count)[:, None]
-        local = np.zeros(LIOUVILLE_DIM, dtype=int)
-        local[index] = np.arange(dim)
-        entries = np.flatnonzero((sector[rows] >= 0) & (sector[rows] == sector[cols]))
-        r, c = rows[entries], cols[entries]
-        targets = (sector[r] * dim + local[r]) * dim + local[c]
-        plan.append(tuple(_read_only(a) for a in (index, entries, targets)))
-    return tuple(plan)
-
-
 def zeroth_steady_state(gen: np.ndarray) -> np.ndarray:
     """Unique trace-one stationary state of the free generator.
 
@@ -164,7 +132,7 @@ def zeroth_steady_state(gen: np.ndarray) -> np.ndarray:
     residual, Hermiticity, positivity and uniqueness of the stationary
     direction.  A NaN or infinite entry of L raises ValueError.
     """
-    return _steady_state(_sector_blocks(gen))
+    return _steady_state(_sector_blocks(OperatorEntries.from_dense(gen)))
 
 
 def _steady_state(groups) -> np.ndarray:
@@ -232,9 +200,8 @@ class DeflatedResolvent:
     eigenvectors are formed, so exceptional points of L need no special
     treatment.
 
-    groups are the sector blocks of L, as _sector_blocks gives them for a
-    dense generator and _free_blocks for the free generator; they are kept
-    without a copy.  restricted() gives the same resolvent on some of the
+    groups are the sector blocks of L, as _sector_blocks gives them; they
+    are kept without a copy.  restricted() gives the same resolvent on some of the
     sectors only; rows lists the entries of the 256-vector that its
     vectors hold (all of them here).
     """
@@ -444,7 +411,7 @@ def perturbative_corrections(
     their nonzero entries, as in build_expansion.
     """
     return _corrections(
-        DeflatedResolvent(_sector_blocks(free), rho0),
+        DeflatedResolvent(_sector_blocks(OperatorEntries.from_dense(free)), rho0),
         OperatorEntries.from_dense(v_plus),
         OperatorEntries.from_dense(v_minus),
         rho0,
@@ -482,13 +449,13 @@ def _corrections(
 def build_expansion(params: PhysParams, cfg: Configuration) -> PerturbativeState:
     """Generators, zeroth order and corrections without a 256 x 256 array.
 
-    The sector blocks of the free generator are filled once from the
-    values of its basis, for the steady state and the resolvent alike, and
-    V+- are taken as their nonzero entries; the result equals
+    The sector blocks of the free generator are filled once from its
+    entries, for the steady state and the resolvent alike, and V+- are
+    applied from theirs; the result equals
     perturbative_corrections(free, v_plus, v_minus,
     zeroth_steady_state(free)) on the dense generators bit for bit.
     """
-    groups = _free_blocks(params, cfg.phi_L)
+    groups = _sector_blocks(free_entries(params, cfg.phi_L))
     rho0 = _steady_state(groups)
     v_plus, v_minus = exchange_entries(cfg.n_hat, params.gamma)
     return _corrections(DeflatedResolvent(groups, rho0), v_plus, v_minus, rho0)

@@ -5,15 +5,35 @@ import pytest
 
 from cbs2.acceptance import AcceptanceSuite
 from cbs2.average import AverageSpec, _check_theta
-from cbs2.generators import HILBERT_DIM
+from cbs2.generators import HILBERT_DIM, LIOUVILLE_DIM, OperatorEntries
 from cbs2.geometry import Configuration, PhysParams
-from cbs2.perturbation import build_expansion
+from cbs2.perturbation import _sector_blocks, build_expansion
 
 
 def apply(gen, rho):
     """Apply a 256 x 256 generator (dense or sparse) to a 16 x 16 matrix."""
     flat = np.asarray(rho, dtype=complex).reshape(-1)
     return (gen @ flat).reshape(HILBERT_DIM, HILBERT_DIM)
+
+
+def dense_sector_blocks(matrix):
+    """_sector_blocks of a dense 256 x 256 generator."""
+    return _sector_blocks(OperatorEntries.from_dense(matrix))
+
+
+def gathered_blocks(matrix, index):
+    """The diagonal blocks of a dense 256 x 256 matrix on the (count, dim)
+    sector indices index, gathered from it: the reference of the blocks
+    that _sector_blocks scatters from the entries."""
+    return matrix[index[:, :, None], index[:, None, :]]
+
+
+def random_pattern_matrix(seed):
+    rng = np.random.default_rng(seed)
+    matrix = np.zeros((LIOUVILLE_DIM, LIOUVILLE_DIM), dtype=complex)
+    hit = rng.random(matrix.shape) < 2e-3
+    matrix[hit] = rng.standard_normal(hit.sum()) + 1j * rng.standard_normal(hit.sum())
+    return matrix
 
 
 def partial_trace(rho: np.ndarray, keep_atom: int) -> np.ndarray:

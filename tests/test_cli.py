@@ -284,6 +284,21 @@ def test_non_finite_parameters_exit_1(capsys, argv):
     assert "cbs2: error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--omega", "1e300"),
+        ("spectrum", "--omega", "1e200", "--method", "oracle_strong"),
+    ],
+    ids=["numeric", "oracle-strong"],
+)
+def test_spectrum_omega_beyond_float_saturation_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("cbs2: error: saturation overflows a float at omega = 1e+")
+
+
 def test_config_file_defaults_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

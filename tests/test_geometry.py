@@ -87,6 +87,11 @@ def test_phys_params_saturation():
     )
 
 
+def test_saturation_overflow_names_omega():
+    with pytest.raises(ValueError, match=r"overflows a float at omega = 1e\+300"):
+        PhysParams(omega=1e300).saturation
+
+
 def test_phys_params_validation():
     with pytest.raises(ValueError):
         PhysParams(omega=1.0, gamma=0.0)

@@ -5,7 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import apply, partial_trace
+from conftest import (
+    apply,
+    dense_sector_blocks,
+    gathered_blocks,
+    partial_trace,
+    random_pattern_matrix,
+)
 
 from cbs2 import oracle, perturbation
 from cbs2.generators import (
@@ -14,6 +20,7 @@ from cbs2.generators import (
     OperatorEntries,
     exchange_entries,
     exchange_generators,
+    free_entries,
     free_generator,
     transition_operator,
 )
@@ -23,7 +30,6 @@ from cbs2.perturbation import (
     DegeneracyError,
     IntensityTerms,
     _block_plan,
-    _free_blocks,
     _sector_blocks,
     _trace_row_solve,
     build_expansion,
@@ -136,7 +142,7 @@ def test_traceless_solver_contract():
     params = PhysParams.from_saturation(1.0)
     free = free_generator(params)
     rho0 = zeroth_steady_state(free)
-    solver = DeflatedResolvent(_sector_blocks(free), rho0)
+    solver = DeflatedResolvent(dense_sector_blocks(free), rho0)
     for _ in range(5):
         rhs = rng.standard_normal((HILBERT_DIM, HILBERT_DIM)) + 1j * rng.standard_normal(
             (HILBERT_DIM, HILBERT_DIM)
@@ -174,21 +180,27 @@ def test_build_expansion_equals_public_constituents(omega, delta, phi_L, n_hat):
         assert pert[key].tobytes() == state.tobytes(), key
 
 
+def assert_blocks_equal_gather(groups, matrix):
+    assert sum(index.size for index, _ in groups) == LIOUVILLE_DIM
+    for index, blocks in groups:
+        assert blocks.tobytes() == gathered_blocks(matrix, index).tobytes()
+
+
 @pytest.mark.parametrize("phi_L", [0.0, 2.5])
 @pytest.mark.parametrize("delta", [0.0, 3.0])
 @pytest.mark.parametrize("omega", [0.0, 1e-3, 1.0, 100.0])
 def test_free_blocks_equal_dense_sector_blocks(omega, delta, phi_L):
-    # the blocks filled straight from the basis values hold what the gather
-    # from the dense generator holds, bit for bit, signed zeros included;
-    # the grid reaches every zero pattern of the values the plan is keyed on
+    # the blocks scattered from the entries of the free generator hold what
+    # a gather from the dense generator holds, bit for bit; the grid reaches
+    # every nonzero pattern of the entries that the plan is keyed on
     params = PhysParams(omega=omega, delta=delta)
-    got = _free_blocks(params, phi_L)
-    want = _sector_blocks(free_generator(params, phi_L))
-    assert len(got) == len(want)
-    for (index, blocks), (want_index, want_blocks) in zip(got, want):
-        assert np.array_equal(index, want_index)
-        assert blocks.shape == want_blocks.shape
-        assert blocks.tobytes() == want_blocks.tobytes()
+    blocks = _sector_blocks(free_entries(params, phi_L))
+    assert_blocks_equal_gather(blocks, free_generator(params, phi_L))
+
+
+def test_sector_blocks_of_a_random_pattern_equal_dense_gather():
+    matrix = random_pattern_matrix(13)
+    assert_blocks_equal_gather(dense_sector_blocks(matrix), matrix)
 
 
 @pytest.mark.parametrize(
@@ -244,8 +256,10 @@ def test_build_expansion_allocates_no_256_by_256_array(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense 256 x 256 construction on the expansion path")
 
-    for name in ("free_generator", "exchange_generators", "_sector_blocks"):
+    for name in ("free_generator", "exchange_generators"):
         monkeypatch.setattr(perturbation, name, refuse)
+    for name in ("dense", "from_dense"):
+        monkeypatch.setattr(OperatorEntries, name, refuse)
     _block_plan.cache_clear()
     SpectrumEngine(PhysParams(omega=2.0, delta=0.0), Configuration(phi_L=0.0))
 

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as la
-from conftest import apply
+from conftest import apply, dense_sector_blocks, random_pattern_matrix
 from scipy import sparse
 from scipy.interpolate import InterpolatedUnivariateSpline
 from scipy.sparse.csgraph import connected_components
@@ -29,7 +29,6 @@ from cbs2.generators import (
 from cbs2.geometry import Configuration, PhysParams
 from cbs2.perturbation import (
     DeflatedResolvent,
-    _sector_blocks,
     build_expansion,
     intensity_terms,
     zeroth_steady_state,
@@ -51,7 +50,7 @@ from cbs2.spectrum import (
 def sector_indices(matrix):
     """The sector indices of _sector_blocks, one (count, dim) array per
     sector size."""
-    return [index for index, _ in _sector_blocks(matrix)]
+    return [index for index, _ in dense_sector_blocks(matrix)]
 
 
 def random_traceless(rng):
@@ -67,7 +66,7 @@ def free_and_rho0():
 
 def resolvent_apply(free, rho0, z, src):
     """(z - L)^-1 src for a traceless 16 x 16 source."""
-    x = -DeflatedResolvent(_sector_blocks(free), rho0).solve(z, src.reshape(-1))
+    x = -DeflatedResolvent(dense_sector_blocks(free), rho0).solve(z, src.reshape(-1))
     return x.reshape(16, 16)
 
 
@@ -129,7 +128,7 @@ def test_resolvent_matches_undeflated_solve(free_at_omega, nu):
     rng = np.random.default_rng(8)
     block = np.stack([random_traceless(rng).reshape(-1) for _ in range(3)], axis=1)
     z = -1j * np.asarray(nu)
-    x = DeflatedResolvent(_sector_blocks(free), rho0).solve(z, block)
+    x = DeflatedResolvent(dense_sector_blocks(free), rho0).solve(z, block)
     assert x.shape == z.shape + block.shape
     for z_f, x_f in zip(np.atleast_1d(z), x.reshape(-1, *block.shape)):
         for col in x_f.T:
@@ -146,7 +145,7 @@ def test_resolvent_pole_for_singular_deflation():
     rho0 = np.eye(16, dtype=complex) / 16.0
     src = random_traceless(np.random.default_rng(9))
     with pytest.raises(ResolventPoleError):
-        DeflatedResolvent(_sector_blocks(null), rho0).solve(0.0, src.reshape(-1))
+        DeflatedResolvent(dense_sector_blocks(null), rho0).solve(0.0, src.reshape(-1))
 
 
 def test_resolvent_pole_names_the_failing_shift():
@@ -155,7 +154,7 @@ def test_resolvent_pole_names_the_failing_shift():
     rho0 = np.eye(16, dtype=complex) / 16.0
     src = random_traceless(np.random.default_rng(10)).reshape(-1)
     with pytest.raises(ResolventPoleError, match=r"z = 0j"):
-        DeflatedResolvent(_sector_blocks(null), rho0).solve(np.array([1.0j, 0.0, -2.0j]), src)
+        DeflatedResolvent(dense_sector_blocks(null), rho0).solve(np.array([1.0j, 0.0, -2.0j]), src)
 
 
 def test_resolvent_leaves_unreached_sectors_at_zero(free_and_rho0):
@@ -178,7 +177,7 @@ def test_resolvent_leaves_unreached_sectors_at_zero(free_and_rho0):
     block[0] -= TRACE_VECTOR @ block
     reached = np.concatenate(columns)
     nu = np.array([-1.0, 0.5, 3.0])
-    x = DeflatedResolvent(_sector_blocks(free), rho0).solve(-1j * nu, block)
+    x = DeflatedResolvent(dense_sector_blocks(free), rho0).solve(-1j * nu, block)
     unreached = np.setdiff1d(np.arange(LIOUVILLE_DIM), reached)
     assert np.all(x[:, unreached, :] == 0)
     for nu_f, x_f in zip(nu, x):
@@ -196,7 +195,7 @@ def test_resolvent_pole_only_in_reached_sectors(free_and_rho0):
     matrix = free.copy()
     matrix[dead, :] = 0.0
     matrix[:, dead] = 0.0
-    resolvent = DeflatedResolvent(_sector_blocks(matrix), rho0)
+    resolvent = DeflatedResolvent(dense_sector_blocks(matrix), rho0)
     src = random_traceless(np.random.default_rng(12)).reshape(-1)
     with pytest.raises(ResolventPoleError):
         resolvent.solve(0.0, src)
@@ -204,7 +203,7 @@ def test_resolvent_pole_only_in_reached_sectors(free_and_rho0):
     live[dead] = 0.0
     x = resolvent.solve(0.0, live)
     assert np.all(x[dead] == 0)
-    want = DeflatedResolvent(_sector_blocks(free), rho0).solve(0.0, live)
+    want = DeflatedResolvent(dense_sector_blocks(free), rho0).solve(0.0, live)
     assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -227,7 +226,7 @@ def test_multi_column_solve_equals_one_column_solves(free_and_rho0, z):
         axis=1,
     )
     assert not np.array_equal(block[:, 0] != 0, block[:, 1] != 0)
-    resolvent = DeflatedResolvent(_sector_blocks(free), rho0)
+    resolvent = DeflatedResolvent(dense_sector_blocks(free), rho0)
     x = resolvent.solve(z, block)
     for k in range(block.shape[1]):
         assert x[..., k].tobytes() == resolvent.solve(z, block[:, k]).tobytes(), k
@@ -250,7 +249,7 @@ def test_shared_right_hand_side_equals_stacked_copies(free_and_rho0, shape):
     if shape == "vector":
         block = block[:, 0]
     z = -1j * np.array([-2.0, -0.5, 0.0, 0.5, 3.0])
-    resolvent = DeflatedResolvent(_sector_blocks(free), rho0)
+    resolvent = DeflatedResolvent(dense_sector_blocks(free), rho0)
     want = resolvent.solve(z, np.repeat(block.reshape(1, LIOUVILLE_DIM, -1), z.size, axis=0))
     assert resolvent.solve(z, block).tobytes() == want.tobytes()
 
@@ -277,7 +276,7 @@ def test_resolvent_refuses_non_finite_right_hand_side(free_and_rho0, bad, z, per
     else:
         src[17] = bad
     with pytest.raises(ValueError, match="right-hand side has non-finite entries"):
-        DeflatedResolvent(_sector_blocks(free), rho0).solve(z, src)
+        DeflatedResolvent(dense_sector_blocks(free), rho0).solve(z, src)
 
 
 def connected_sectors(matrix):
@@ -287,14 +286,6 @@ def connected_sectors(matrix):
     pattern[0] |= TRACE_VECTOR != 0
     _, labels = connected_components(pattern, directed=False)
     return {tuple(np.flatnonzero(labels == c)) for c in np.unique(labels)}
-
-
-def random_pattern_matrix(seed):
-    rng = np.random.default_rng(seed)
-    matrix = np.zeros((LIOUVILLE_DIM, LIOUVILLE_DIM), dtype=complex)
-    hit = rng.random(matrix.shape) < 2e-3
-    matrix[hit] = rng.standard_normal(hit.sum()) + 1j * rng.standard_normal(hit.sum())
-    return matrix
 
 
 @pytest.mark.parametrize(
@@ -319,12 +310,12 @@ def test_cached_sectors_equal_connected_components(omega, delta, phi_L):
 
 def test_resolvent_keeps_own_copy_of_generator():
     # the resolvent solves with, and checks its residual against, blocks of
-    # L that _sector_blocks gathered into arrays of their own: a change to
+    # L that _sector_blocks filled into arrays of their own: a change to
     # the caller's matrix after the resolvent is built must not reach it
     src = random_traceless(np.random.default_rng(14)).reshape(-1)
     for params in (PhysParams.from_saturation(1.0), PhysParams(omega=2.0, delta=3.0)):
         gen = free_generator(params)
-        resolvent = DeflatedResolvent(_sector_blocks(gen), zeroth_steady_state(gen))
+        resolvent = DeflatedResolvent(dense_sector_blocks(gen), zeroth_steady_state(gen))
         want = resolvent.solve(np.array([0.0, 0.5j]), src)
         gen[:] = 7.0
         assert np.array_equal(resolvent.solve(np.array([0.0, 0.5j]), src), want)
@@ -552,7 +543,7 @@ def test_restricted_resolvent_equals_full_solve_on_kept_sectors(free_and_rho0):
     # a right-hand side on the population sector and one 12-dimensional
     # sector: the restricted solve gives the kept entries of the full one
     free, rho0 = free_and_rho0
-    full = DeflatedResolvent(_sector_blocks(free), rho0)
+    full = DeflatedResolvent(dense_sector_blocks(free), rho0)
     sectors = sector_indices(free)
     populations = next(index for group in sectors for index in group if index[0] == 0)
     coherences = next(group for group in sectors if group.shape[1] == 12)[3]
@@ -570,7 +561,7 @@ def test_restricted_resolvent_equals_full_solve_on_kept_sectors(free_and_rho0):
 
 def test_restricted_resolvent_refuses_traced_right_hand_side(free_and_rho0):
     free, rho0 = free_and_rho0
-    restricted = DeflatedResolvent(_sector_blocks(free), rho0).restricted([0])
+    restricted = DeflatedResolvent(dense_sector_blocks(free), rho0).restricted([0])
     src = np.random.default_rng(16).standard_normal(restricted.rows.size) + 0j
     assert abs(TRACE_VECTOR[restricted.rows] @ src) > 1e-3
     with pytest.raises(ValueError, match="traceless"):
@@ -588,7 +579,7 @@ def test_restricted_resolvent_pole_in_kept_sector(free_and_rho0):
     matrix = free.copy()
     matrix[dead, :] = 0.0
     matrix[:, dead] = 0.0
-    restricted = DeflatedResolvent(_sector_blocks(matrix), rho0).restricted([dead[0], live[0]])
+    restricted = DeflatedResolvent(dense_sector_blocks(matrix), rho0).restricted([dead[0], live[0]])
     src = random_traceless(np.random.default_rng(17)).reshape(-1)[restricted.rows]
     with pytest.raises(ResolventPoleError):
         restricted.solve(0.0, src)
