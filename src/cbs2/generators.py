@@ -279,9 +279,7 @@ class OperatorEntries:
     def __init__(self, flat: np.ndarray, values: np.ndarray):
         kept = values != 0
         self.flat, self.values = flat[kept], values[kept]
-        self.rows, self.cols = np.divmod(self.flat, LIOUVILLE_DIM)
-        # the first entry of each row that holds any (np.diff costs 3 times this)
-        self._starts = np.flatnonzero(self.rows != np.concatenate(([-1], self.rows[:-1])))
+        self.rows, self.cols, self._starts = _row_layout(self.flat.tobytes())
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray) -> OperatorEntries:
@@ -319,6 +317,18 @@ class OperatorEntries:
         out = np.zeros((len(rows), len(cols)), dtype=complex)
         out[r[inside], c[inside]] = self.values[inside]
         return out
+
+
+# one layout per pattern of positions: the generators of a run share a few
+@functools.lru_cache(maxsize=32)
+def _row_layout(flat: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows and cols of the entries at the flat positions given
+    (OperatorEntries.flat as bytes) and the first entry of each row that
+    holds any, all read-only."""
+    rows, cols = np.divmod(np.frombuffer(flat, dtype=np.intp), LIOUVILLE_DIM)
+    # np.diff costs 3 times this
+    starts = np.flatnonzero(rows != np.concatenate(([-1], rows[:-1])))
+    return _read_only(rows), _read_only(cols), _read_only(starts)
 
 
 def exchange_entries(

@@ -85,10 +85,21 @@ class PhysParams:
 
     @property
     def saturation(self) -> float:
-        """Saturation parameter s = omega^2 / (2 (gamma^2 + delta^2)).  A
-        square beyond the float range raises ValueError."""
+        """Saturation parameter s = omega^2 / (2 (gamma^2 + delta^2)), on
+        Python floats whatever the type of the fields.  Where the
+        denominator overflows, all three are first divided by the larger of
+        gamma and |delta|.  An omega^2 beyond the float range raises
+        ValueError."""
+        omega, gamma, delta = float(self.omega), float(self.gamma), float(self.delta)
         try:
-            return self.omega**2 / (2.0 * (self.gamma**2 + self.delta**2))
+            denominator = 2.0 * (gamma**2 + delta**2)
+        except OverflowError:
+            denominator = math.inf
+        if denominator == math.inf:
+            scale = max(gamma, abs(delta))
+            omega, denominator = omega / scale, 2.0 * ((gamma / scale) ** 2 + (delta / scale) ** 2)
+        try:
+            return omega**2 / denominator
         except OverflowError:
             raise ValueError(
                 f"saturation overflows a float at omega = {self.omega}, "

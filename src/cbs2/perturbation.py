@@ -10,15 +10,17 @@ there.
 All correction orders are traceless and are obtained from deflated linear
 solves on the traceless subspace, where the free generator is invertible;
 the same deflated resolvent serves the spectral sweep at z = -i nu.
-_sector_blocks takes a generator as an OperatorEntries and scatters its
-entries into its sector blocks through one plan, cached on the positions
-of the entries.  build_expansion forms no 256 x 256 array: it takes the
-blocks of free_entries, which the steady state and the resolvent share,
-and applies V+- from their entries.  Two solve calls at z = 0 give the
+build_expansion forms no 256 x 256 array: it takes the sector blocks of
+free_entries, which the steady state and the resolvent share, and
+applies V+- from their entries.  Two solve calls at z = 0 give the
 orders.  The dense free_generator, zeroth_steady_state and
 perturbative_corrections, which read their arrays through
 OperatorEntries.from_dense, stay the public reference and give the same
-bits.
+bits.  Structure is computed once per sector pattern, so a parameter
+point does value work only, in three LRU caches keyed on content:
+_block_plan (32 entries) on the entries' positions, _restricted_sectors
+(16) on a structure and the kept sectors, _solve_plan (128) on a
+structure, the column count and the nonzero pattern of B.
 """
 
 from __future__ import annotations
@@ -54,7 +56,43 @@ class DegeneracyError(RuntimeError):
     """The free generator has more than one stationary direction."""
 
 
-def _sector_blocks(op: OperatorEntries) -> list[tuple[np.ndarray, np.ndarray]]:
+class _Sectors:
+    """The sectors of a resolvent's vectors, which hold the entries rows of
+    the 256-vector: per size, the (count, dim) sector indices (index), the
+    sector number of each entry (sector, numbered from first[g] on in group
+    g), trace on rows, and the group and place of the sector of entry 0
+    (populations).  rows and sector fix the rest, so it is hashed and
+    compared on their bytes, not on its identity."""
+
+    def __init__(self, rows: np.ndarray, index: tuple[np.ndarray, ...]):
+        self.rows, self.index, self.trace = _read_only(rows), index, TRACE_VECTOR[rows]
+        self.first = np.cumsum([0] + [group.shape[0] for group in index])
+        self.sector = np.empty(rows.size, dtype=int)
+        for first, group in zip(self.first, index):
+            self.sector[group] = first + np.arange(group.shape[0])[:, None]
+        g = int(np.searchsorted(self.first, self.sector[0], side="right")) - 1
+        self.populations = (g, int(self.sector[0] - self.first[g]))
+        self._key = rows.tobytes() + self.sector.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Sectors) and self._key == other._key
+
+
+class _SectorBlocks:
+    """The _Sectors of a generator and, per size, the stack of its blocks;
+    iterates as (sector indices, blocks) pairs."""
+
+    def __init__(self, sectors: _Sectors, blocks: list[np.ndarray]):
+        self.sectors, self.blocks = sectors, blocks
+
+    def __iter__(self):
+        return zip(self.sectors.index, self.blocks)
+
+
+def _sector_blocks(op: OperatorEntries) -> _SectorBlocks:
     """The sector blocks of a 256 x 256 generator given as its entries.
 
     A sector is a connected component of the nonzero pattern of the
@@ -64,28 +102,29 @@ def _sector_blocks(op: OperatorEntries) -> list[tuple[np.ndarray, np.ndarray]]:
     Returns, per sector size in increasing size, the (count, dim) array of
     sorted sector indices, cached on the pattern and read-only, and the
     (count, dim, dim) stack of the diagonal blocks of the generator on
-    them, an array of its own.
+    them, an array of its own, with the _Sectors they come from.
     """
-    groups = []
-    for index, entries, targets in _block_plan(op.flat.tobytes()):
+    sectors, scatter = _block_plan(op.flat.tobytes())
+    blocks = []
+    for index, (entries, targets) in zip(sectors.index, scatter):
         count, dim = index.shape
-        blocks = np.zeros((count, dim, dim), dtype=complex)
-        blocks.reshape(-1)[targets] = op.values[entries]
-        groups.append((index, blocks))
-    return groups
+        stack = np.zeros((count, dim, dim), dtype=complex)
+        stack.reshape(-1)[targets] = op.values[entries]
+        blocks.append(stack)
+    return _SectorBlocks(sectors, blocks)
 
 
 # one plan per nonzero pattern: a few recur (drive, detuning and drive
 # phase zero or not), and the bound keeps arbitrary input matrices from
 # growing the cache for good
 @functools.lru_cache(maxsize=32)
-def _block_plan(flat: bytes) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """The sectors of an operator whose entries lie at the flat positions
+def _block_plan(flat: bytes) -> tuple[_Sectors, tuple]:
+    """The _Sectors of an operator whose entries lie at the flat positions
     given (OperatorEntries.flat as bytes) and where its entries go: per
-    sector size, the (count, dim) sector indices, the entries whose row
-    lies in a sector of that size, and their flat targets in the
-    (count, dim, dim) stack of blocks.  An entry links its row and its
-    column, so both lie in one sector and every entry lands in a block."""
+    sector size, the entries whose row lies in a sector of that size and
+    their flat targets in the (count, dim, dim) stack of blocks.  An entry
+    links its row and its column, so both lie in one sector and every
+    entry lands in a block."""
     rows, cols = np.divmod(np.frombuffer(flat, dtype=np.intp), LIOUVILLE_DIM)
     pattern = np.zeros((LIOUVILLE_DIM, LIOUVILLE_DIM), dtype=bool)
     pattern[rows, cols] = True
@@ -101,17 +140,18 @@ def _block_plan(flat: bytes) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray],
             break
         labels = smallest
     sizes = np.bincount(labels, minlength=LIOUVILLE_DIM)
-    plan = []
+    index, scatter = [], []
     for dim in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
-        index = np.stack([np.flatnonzero(labels == c) for c in np.flatnonzero(sizes == dim)])
+        group = np.stack([np.flatnonzero(labels == c) for c in np.flatnonzero(sizes == dim)])
         # where[r] = k dim + i for the i-th index r of sector k, so entry
         # (r, c), c the j-th index of that sector, goes to (k dim + i) dim + j
         where = np.full(LIOUVILLE_DIM, -1)
-        where[index] = np.arange(index.size).reshape(index.shape)
+        where[group] = np.arange(group.size).reshape(group.shape)
         entries = np.flatnonzero(where[rows] >= 0)
         targets = where[rows[entries]] * dim + where[cols[entries]] % dim
-        plan.append(tuple(_read_only(a) for a in (index, entries, targets)))
-    return tuple(plan)
+        index.append(_read_only(group))
+        scatter.append((_read_only(entries), _read_only(targets)))
+    return _Sectors(np.arange(LIOUVILLE_DIM), tuple(index)), tuple(scatter)
 
 
 def _trace_row_solve(matrix: np.ndarray, trace: np.ndarray = TRACE_VECTOR) -> np.ndarray:
@@ -135,15 +175,15 @@ def zeroth_steady_state(gen: np.ndarray) -> np.ndarray:
     return _steady_state(_sector_blocks(OperatorEntries.from_dense(gen)))
 
 
-def _steady_state(groups) -> np.ndarray:
+def _steady_state(groups: _SectorBlocks) -> np.ndarray:
     """zeroth_steady_state on the sector blocks of a generator, as
     _sector_blocks gives them."""
     # L is block diagonal in its sectors, so its singular values are those
     # of its blocks; every nonzero entry, NaN and inf included, lies in one
-    if not all(np.isfinite(blocks).all() for _, blocks in groups):
+    if not all(np.isfinite(blocks).all() for blocks in groups.blocks):
         raise ValueError("generator has non-finite entries")
     sv = np.sort(
-        np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for _, b in groups])
+        np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for b in groups.blocks])
     )[::-1]
     scale = max(sv[0], 1.0)
     if not sv[-2] >= 1e-8 * scale:
@@ -152,11 +192,8 @@ def _steady_state(groups) -> np.ndarray:
             f"{sv[-2]:.3e} vs scale {scale:.3e})"
         )
 
-    populations, block = next(
-        (index[k], blocks[k])
-        for index, blocks in groups
-        for k in np.flatnonzero(index[:, 0] == 0)
-    )
+    g, k = groups.sectors.populations
+    populations, block = groups.sectors.index[g][k], groups.blocks[g][k]
     rho = np.zeros(LIOUVILLE_DIM, dtype=complex)
     rho[populations] = _trace_row_solve(block, TRACE_VECTOR[populations])
     rho = rho.reshape(HILBERT_DIM, HILBERT_DIM)
@@ -165,9 +202,7 @@ def _steady_state(groups) -> np.ndarray:
     # L maps the sector into itself, so with rho zero outside it L rho is
     # the block times rho's entries there; the sector holds the transpose
     # of each of its entries for a generator that keeps Hermiticity
-    outside = np.ones(LIOUVILLE_DIM, dtype=bool)
-    outside[populations] = False
-    if np.any(rho.reshape(-1)[outside]):
+    if np.any(np.delete(rho.reshape(-1), populations)):
         raise RuntimeError("steady state reaches outside the sector of the populations")
     residual = np.linalg.norm(block @ rho.reshape(-1)[populations])
     if not residual <= 1e-10:
@@ -201,44 +236,36 @@ class DeflatedResolvent:
     treatment.
 
     groups are the sector blocks of L, as _sector_blocks gives them; they
-    are kept without a copy.  restricted() gives the same resolvent on some of the
-    sectors only; rows lists the entries of the 256-vector that its
-    vectors hold (all of them here).
+    are kept without a copy, but for the group that takes the deflation.
+    restricted() gives the same resolvent on some of the sectors only, its
+    structure cached on this one's and the kept sectors
+    (_restricted_sectors, 16 entries); rows lists the entries of the
+    256-vector that its vectors hold (all of them here).
     """
 
-    def __init__(self, groups, rho0: np.ndarray):
+    def __init__(self, groups: _SectorBlocks, rho0: np.ndarray):
         rho0 = np.asarray(rho0, dtype=complex).reshape(-1)
-        deflated_groups = []
-        for index, blocks in groups:
-            deflated = blocks.copy()
-            # |rho0><trace| reaches only the trace's columns, the
-            # populations, which all lie in the sector of index 0
-            for k in np.flatnonzero(index[:, 0] == 0):
-                rows = index[k]
-                deflated[k] += np.outer(rho0[rows], TRACE_VECTOR[rows])
-            deflated_groups.append((index, blocks, deflated))
-        self._setup(TRACE_VECTOR, np.arange(LIOUVILLE_DIM), deflated_groups)
+        # |rho0><trace| reaches only the trace's columns, the populations,
+        # which all lie in the sector of index 0
+        g, k = groups.sectors.populations
+        rows = groups.sectors.index[g][k]
+        deflated = list(groups.blocks)
+        deflated[g] = deflated[g].copy()
+        deflated[g][k] += np.outer(rho0[rows], TRACE_VECTOR[rows])
+        # per sector size, the stacks of the blocks of L and of the deflated
+        # matrix
+        self._sectors, self.rows = groups.sectors, groups.sectors.rows
+        self._blocks, self._deflated = groups.blocks, deflated
 
-    def _setup(self, trace, rows, groups) -> None:
-        # rows: the entries of the 256-vector that this resolvent's vectors
-        # hold, in order; groups: per sector size, a (count, dim) array of
-        # sector indices into those vectors and the (count, dim, dim) stacks
-        # of the diagonal blocks of L and of the deflated matrix
-        self._trace, self.rows, self._groups = trace, rows, groups
-        # the sector number of each entry; the sectors of group g are
-        # numbered from self._first[g] on
-        self._sector = np.empty(rows.size, dtype=int)
-        self._first = np.cumsum([0] + [index.shape[0] for index, *_ in groups])
-        for first, (index, *_) in zip(self._first, groups):
-            self._sector[index] = first + np.arange(index.shape[0])[:, None]
+    def _closure(self, rows) -> tuple[_Sectors, np.ndarray, tuple]:
+        hit = np.zeros(self._sectors.first[-1], dtype=bool)
+        hit[self._sectors.sector[rows]] = True
+        return _restricted_sectors(self._sectors, hit.tobytes())
 
     def sector_closure(self, rows) -> np.ndarray:
         """Sorted indices of all entries of the sectors that hold any of
         rows (indices into this resolvent's vectors)."""
-        # sector numbers are below the number of entries
-        hit = np.zeros(self.rows.size, dtype=bool)
-        hit[self._sector[rows]] = True
-        return np.flatnonzero(hit[self._sector])
+        return self._closure(rows)[1]
 
     def restricted(self, rows) -> "DeflatedResolvent":
         """The resolvent on the sectors that hold any of rows (indices into
@@ -248,18 +275,14 @@ class DeflatedResolvent:
         rows attribute names them as entries of the 256-vector.  L maps
         each sector into itself, so for a right-hand side that is 0 outside
         the kept sectors, solve() on the result gives the kept entries of
-        solve() here, with the same traceless and residual checks.
+        solve() here, with the same traceless and residual checks.  Only
+        the kept blocks are gathered.
         """
-        kept = self.sector_closure(rows)
-        compact = np.full(self.rows.size, -1)
-        compact[kept] = np.arange(kept.size)
-        groups = []
-        for index, *blocks in self._groups:
-            hit = compact[index[:, 0]] >= 0
-            if hit.any():
-                groups.append((compact[index[hit]], *(b[hit] for b in blocks)))
+        sectors, _, groups = self._closure(rows)
         out = object.__new__(DeflatedResolvent)
-        out._setup(self._trace[kept], self.rows[kept], groups)
+        out._sectors, out.rows = sectors, sectors.rows
+        out._blocks = [self._blocks[g][places] for g, places in groups]
+        out._deflated = [self._deflated[g][places] for g, places in groups]
         return out
 
     def solve(self, z, rhs: np.ndarray) -> np.ndarray:
@@ -277,7 +300,9 @@ class DeflatedResolvent:
         reach, so each column of X equals the solve of that column alone
         bit for bit.  A singular block raises ResolventPoleError only when
         B reaches it; a NaN or infinite shift or entry of B raises
-        ValueError before any solve.
+        ValueError before any solve.  Where each size group works is cached
+        on the structure, the column count and the packed nonzero pattern of
+        B (_solve_plan, 128 entries).
         """
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
         if not np.isfinite(zs).all():
@@ -289,56 +314,48 @@ class DeflatedResolvent:
         # one block per shift, or one that all shifts share; a shared block
         # is checked once, not on each shift
         b = b[None] if b.ndim == 2 else b[None, :, None] if b.ndim == 1 else b
-        trace = np.abs(self._trace @ b)
+        trace = np.abs(self._sectors.trace @ b)
         if np.any(trace > 1e-10 * np.maximum(np.linalg.norm(b, axis=1), 1e-300)):
             raise ValueError(
                 f"right-hand side must be traceless, trace = {np.max(trace):.3e}"
             )
 
-        # live[s, c]: column c of B has a nonzero entry in sector s, for
-        # some shift; the other columns keep their B there, signed zeros
-        # included
-        live = np.zeros((self._first[-1], b.shape[2]), dtype=bool)
-        entries, columns = np.nonzero(np.any(b != 0, axis=0))
-        live[self._sector[entries], columns] = True
-        reached_sectors = live.any(axis=1)
-        # per size group, the columns live in any of its sectors: LAPACK
-        # gets only those
-        group_columns = [
-            np.flatnonzero(c) for c in np.logical_or.reduceat(live, self._first[:-1], axis=0)
-        ]
+        nonzero = np.any(b != 0, axis=0)
+        plan = _solve_plan(self._sectors, b.shape[2], np.packbits(nonzero).tobytes())
+        # +0.0 is the one shift whose bits are all zero; x - (+0.0) is x for
+        # every x, -0.0 included, so there the blocks are solved unshifted
+        unshifted = zs.tobytes() == bytes(16)
         x = np.empty((zs.size,) + b.shape[1:], dtype=complex)
         x[...] = b
         # squared norm of (L - z) X - B per shift: L is block diagonal in
         # the sectors and X and B are 0 outside the solved ones, so it adds
         # up over those
         squared = np.zeros(zs.size)
-        for (index, blocks, deflated), first, used in zip(self._groups, self._first, group_columns):
-            count, dim = index.shape
-            reached = np.flatnonzero(reached_sectors[first:first + count])
-            if not reached.size:
-                continue
-            columns = live[first + reached][:, None, used]
-            rows = index[reached][:, :, None]
-            b_r = b[:, rows, used]
-            # one copy of the blocks per shift, then z off their diagonals;
-            # for the population block, the largest temporary of a sweep
-            # chunk (spectrum.SWEEP_CHUNK)
-            shifted = np.empty((zs.size, reached.size, dim, dim), dtype=complex)
-            shifted[...] = deflated[reached]
-            shifted.reshape(zs.size, reached.size, -1)[:, :, ::dim + 1] -= zs[:, None, None]
+        for g, reached, where, columns in plan:
+            b_r = b[where]
+            deflated = self._deflated[g][reached]
+            count, dim = deflated.shape[:2]
+            if unshifted:
+                shifted = deflated[None]
+            else:
+                # one copy of the blocks per shift, then z off their
+                # diagonals; for the population block, the largest
+                # temporary of a sweep chunk (spectrum.SWEEP_CHUNK)
+                shifted = np.empty((zs.size,) + deflated.shape, dtype=complex)
+                shifted[...] = deflated
+                shifted.reshape(zs.size, count, dim * dim)[:, :, ::dim + 1] -= zs[:, None, None]
             x_r = _batched_solve(shifted, b_r)
             # dropped before the residual's temporaries are made: glibc sets
             # its trim threshold from the largest block freed, this one, and
             # with it alive a 32-frequency call was trimmed and faulted back
             # in every time, about 3,100 minor faults per 600-point spectrum
-            del shifted
-            if not columns.all():
+            del shifted, deflated
+            if columns is not None:
                 x_r = np.where(columns, x_r, b_r)
-            x[:, rows, used] = x_r
+            x[where] = x_r
             # one product per sector, over all shifts and columns
             xt = x_r.transpose(1, 2, 0, 3)
-            lx = (blocks[reached] @ xt.reshape(reached.size, dim, -1)).reshape(xt.shape)
+            lx = (self._blocks[g][reached] @ xt.reshape(count, dim, -1)).reshape(xt.shape)
             lx -= zs[:, None] * xt
             lx -= b_r.transpose(1, 2, 0, 3)
             squared += np.sum(np.abs(lx) ** 2, axis=(0, 1, 3))
@@ -353,6 +370,47 @@ class DeflatedResolvent:
                 f"deflated resolvent at z = {zs[f]} left residual {residual[f]:.3e}"
             )
         return x.reshape(zs.shape + tail if np.ndim(z) else tail)
+
+
+@functools.lru_cache(maxsize=16)
+def _restricted_sectors(parent: _Sectors, hit: bytes) -> tuple[_Sectors, np.ndarray, tuple]:
+    """The _Sectors of parent's resolvent on the sectors that hit marks (a
+    bool per sector, as bytes), its entries as indices into parent's
+    vectors (read-only), and (group, places of the kept sectors) per group
+    that keeps any."""
+    hit = np.frombuffer(hit, dtype=bool)
+    kept = np.flatnonzero(hit[parent.sector])
+    compact = np.full(parent.rows.size, -1)
+    compact[kept] = np.arange(kept.size)
+    places = [np.flatnonzero(hit[a:b]) for a, b in zip(parent.first[:-1], parent.first[1:])]
+    groups = tuple((g, p) for g, p in enumerate(places) if p.size)
+    index = tuple(compact[parent.index[g][p]] for g, p in groups)
+    return _Sectors(parent.rows[kept], index), _read_only(kept), groups
+
+
+# a few patterns recur per structure; the bound keeps arbitrary right-hand
+# sides from growing the cache for good
+@functools.lru_cache(maxsize=128)
+def _solve_plan(sectors: _Sectors, columns: int, pattern: bytes) -> tuple:
+    """Where solve() works for a B of that many columns whose nonzero
+    pattern over all shifts np.packbits packed: per group with a reached
+    sector, the group, the reached sectors (a slice when all are), the
+    index into B of their rows and used columns, and their (reached, 1,
+    used) live mask, None when all are live."""
+    nonzero = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8), count=sectors.rows.size * columns)
+    entries, cols = np.nonzero(nonzero.reshape(sectors.rows.size, columns))
+    live = np.zeros((sectors.first[-1], columns), dtype=bool)
+    live[sectors.sector[entries], cols] = True
+    plan = []
+    for g, index in enumerate(sectors.index):
+        group = live[sectors.first[g]:sectors.first[g + 1]]
+        reached, used = np.flatnonzero(group.any(axis=1)), np.flatnonzero(group.any(axis=0))
+        if reached.size:
+            mask = group[reached][:, None, used]
+            reached = slice(None) if reached.size == index.shape[0] else reached
+            where = (slice(None), index[reached][:, :, None], used)
+            plan.append((g, reached, where, None if mask.all() else mask))
+    return tuple(plan)
 
 
 def _batched_solve(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -534,11 +592,16 @@ def _detected_operators() -> tuple[np.ndarray, np.ndarray]:
 
 
 def mean_dipole_orders(pert: PerturbativeState, atom: int) -> dict:
-    """Order-resolved mean raising dipole <s_21> on the detected transition."""
-    raising = transition_operator(atom, DETECTED_LEVEL, "raising")
-    return {
-        key: complex(np.trace(raising @ state)) for key, state in pert.orders.items()
-    }
+    """Order-resolved mean raising dipole <s_21> on the detected transition:
+    trace(raising @ state), whose diagonal holds state[j, i] at row i for
+    the four entries (i, j), all 1.0, of the raising dipole."""
+    rows, cols = np.nonzero(transition_operator(atom, DETECTED_LEVEL, "raising"))
+    diagonal = np.zeros(HILBERT_DIM, dtype=complex)
+    dipoles = {}
+    for key, state in pert.orders.items():
+        diagonal[rows] = state[cols, rows]
+        dipoles[key] = complex(diagonal.sum())
+    return dipoles
 
 
 def intensity_terms(pert: PerturbativeState, cfg: Configuration) -> IntensityTerms:

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,37 @@ def test_phys_params_saturation():
 def test_saturation_overflow_names_omega():
     with pytest.raises(ValueError, match=r"overflows a float at omega = 1e\+300"):
         PhysParams(omega=1e300).saturation
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega", [1e300, np.float64(1e300)], ids=["float", "float64"])
+def test_saturation_overflow_does_not_depend_on_the_type(omega):
+    with pytest.raises(ValueError, match=r"overflows a float at omega = 1e\+300"):
+        PhysParams(omega=omega).saturation
+
+
+@pytest.mark.filterwarnings("error")
+def test_saturation_scales_an_overflowing_denominator():
+    # s is about 5e-401 and rounds to 0; the squares of delta, or their
+    # sum, overflow, not s
+    assert PhysParams(omega=1.0, delta=1e200).saturation == 0.0
+    assert PhysParams(omega=np.float64(1.0), delta=np.float64(-1e200)).saturation == 0.0
+    assert PhysParams(omega=1e200, delta=1e200).saturation == 0.5
+    got = PhysParams(omega=1e154, gamma=1.2e154, delta=1.3e154).saturation
+    assert got == pytest.approx(1.0 / (2.0 * (1.2**2 + 1.3**2)), rel=1e-15)
+
+
+def test_saturation_keeps_its_bits_on_ordinary_parameters():
+    # the formula before the scaled form, on Python floats and on numpy
+    # scalars alike
+    for omega in (0.0, 1e-3, 0.5, 1.0, math.sqrt(2.0), 3.7, 100.0, 1e5, 1e150):
+        for gamma in (0.3, 1.0, 2.0, 7.5):
+            for delta in (-4.0, 0.0, 0.25, 3.0, 1e3):
+                want = omega**2 / (2.0 * (gamma**2 + delta**2))
+                for cast in (float, np.float64):
+                    got = PhysParams(omega=cast(omega), gamma=cast(gamma), delta=cast(delta)).saturation
+                    assert type(got) is float
+                    assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 def test_phys_params_validation():

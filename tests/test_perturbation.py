@@ -13,7 +13,7 @@ from conftest import (
     random_pattern_matrix,
 )
 
-from cbs2 import oracle, perturbation
+from cbs2 import generators, oracle, perturbation
 from cbs2.generators import (
     HILBERT_DIM,
     LIOUVILLE_DIM,
@@ -44,6 +44,17 @@ from cbs2.perturbation import (
 from cbs2.spectrum import SpectrumEngine
 
 ALL_ORDERS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+#: The caches of structure, each bounded and keyed on content.
+STRUCTURE_CACHES = (
+    generators._row_layout,
+    perturbation._block_plan,
+    perturbation._restricted_sectors,
+    perturbation._solve_plan,
+)
+
+#: Probe frequencies of an engine, in units of omega: the resonances.
+PROBE_MULTIPLES = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 
 # independently computed reference intensities at s = 1, default
 # orientation (weight 1/4), frozen from two disagreement-free routes
@@ -262,6 +273,116 @@ def test_build_expansion_allocates_no_256_by_256_array(monkeypatch):
         monkeypatch.setattr(OperatorEntries, name, refuse)
     _block_plan.cache_clear()
     SpectrumEngine(PhysParams(omega=2.0, delta=0.0), Configuration(phi_L=0.0))
+
+
+def clear_structure_caches():
+    for cache in (generators._free_basis, generators._exchange_basis, *STRUCTURE_CACHES):
+        cache.cache_clear()
+
+
+def test_structure_caches_stay_bounded():
+    # 60 engines over drawn omega and drive phase, then 200 enhancement
+    # points over drawn orientations: one block plan per nonzero pattern of
+    # the free generator, and no cache beyond its bound
+    rng = np.random.default_rng(24)
+    clear_structure_caches()
+    patterns = set()
+    for omega, phi_L in zip(10.0 ** rng.uniform(-1.0, 2.0, 60), rng.uniform(0.0, 2.0 * np.pi, 60)):
+        params = PhysParams(omega=omega)
+        SpectrumEngine(params, Configuration(phi_L=phi_L)).densities(omega * PROBE_MULTIPLES)
+        patterns.add(free_entries(params, phi_L).flat.tobytes())
+    points = 0
+    while points < 200:
+        n_hat = rng.standard_normal(3)
+        n_hat /= np.linalg.norm(n_hat)
+        if 0.25 * (n_hat[0] ** 2 + n_hat[1] ** 2) ** 2 < 1e-6:
+            continue
+        params = PhysParams.from_saturation(10.0 ** rng.uniform(-3.0, 3.0))
+        phi_L = rng.uniform(0.0, 2.0 * np.pi)
+        numeric_enhancement(params, Configuration(n_hat=n_hat, phi_L=phi_L))
+        patterns.add(free_entries(params, phi_L).flat.tobytes())
+        points += 1
+    assert _block_plan.cache_info().currsize == len(patterns)
+    for cache in STRUCTURE_CACHES:
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize, cache
+
+
+def test_structure_caches_are_keyed_on_content():
+    # a block plan built again holds a new structure object with the same
+    # content: the caches keyed on it hit for it as for the first, so no
+    # entry is tied to an object's identity
+    params = PhysParams(omega=2.0, delta=0.3)
+    cfg = Configuration(n_hat=(0.36, -0.48, 0.8), phi_L=0.7)
+    flat = free_entries(params, cfg.phi_L).flat.tobytes()
+    SpectrumEngine(params, cfg).densities(PROBE_MULTIPLES)
+    first = _block_plan(flat)[0]
+    _block_plan.cache_clear()
+    second = _block_plan(flat)[0]
+    assert second is not first
+    assert second == first and hash(second) == hash(first)
+    caches = (perturbation._restricted_sectors, perturbation._solve_plan)
+    before = [cache.cache_info() for cache in caches]
+    SpectrumEngine(params, cfg).densities(PROBE_MULTIPLES)
+    for cache, was in zip(caches, before):
+        now = cache.cache_info()
+        assert now.misses == was.misses and now.hits > was.hits, cache
+
+
+def test_caches_never_change_a_number():
+    # every structure cache cleared, then the same expansion and engine
+    # densities cold and again warm, bit for bit
+    params = PhysParams(omega=1.3, delta=0.4)
+    cfg = Configuration(n_hat=(0.36, -0.48, 0.8), phi_L=0.9)
+    nu = np.linspace(-4.0, 4.0, 41)
+    clear_structure_caches()
+    runs = []
+    for _ in range(2):
+        pert = build_expansion(params, cfg)
+        runs.append([pert[key] for key in ALL_ORDERS] + list(SpectrumEngine(params, cfg).densities(nu)))
+    for cold, warm in zip(*runs):
+        assert cold.tobytes() == warm.tobytes()
+
+
+def test_solve_at_plus_zero_equals_the_shifted_solve():
+    # at the one shift +0.0 the blocks are solved unshifted; that equals
+    # subtracting +0.0 from their diagonals bit for bit, signed zeros of B
+    # included
+    free = free_generator(PhysParams(omega=1.0))
+    rho0 = zeroth_steady_state(free)
+    resolvent = DeflatedResolvent(dense_sector_blocks(free), rho0)
+    v_plus, v_minus = exchange_generators(np.array([0.36, -0.48, 0.8]))
+    block = np.stack([-(v_plus @ rho0.reshape(-1)), -(v_minus @ rho0.reshape(-1))], axis=1)
+    zero = np.flatnonzero(block.reshape(-1) == 0)
+    block.reshape(-1)[zero[::2]] = complex(-0.0, -0.0)
+    block.reshape(-1)[zero[1::2]] = complex(0.0, -0.0)
+    x = resolvent.solve(0.0, block)
+    assert np.signbit(x.real).any() and np.signbit(x.imag).any()
+    assert x.tobytes() == resolvent.solve(np.array([0.0, 1.0j]), block)[0].tobytes()
+
+
+def test_solve_with_no_column_or_no_shift(expansion_s1):
+    # an empty right-hand side or an empty array of shifts gives an empty X
+    resolvent = expansion_s1.resolvent
+    block = -expansion_s1.v_plus.apply(expansion_s1[(0, 0)].reshape(-1))
+    assert resolvent.solve(0.0, np.zeros((LIOUVILLE_DIM, 0))).shape == (LIOUVILLE_DIM, 0)
+    assert resolvent.solve(np.array([]), block).shape == (0, LIOUVILLE_DIM)
+
+
+def test_mean_dipoles_equal_the_trace_of_the_product(expansion_s1):
+    # four entries of each state, summed as np.trace sums the diagonal of
+    # raising @ state, signed zeros included
+    rng = np.random.default_rng(25)
+    states = dict(expansion_s1.orders)
+    states["random"] = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    states["zeros"] = np.where(rng.random((16, 16)) < 0.5, complex(-0.0, -0.0), complex(0.0, -0.0))
+    pert = dataclasses.replace(expansion_s1, orders=states)
+    for atom in (1, 2):
+        raising = transition_operator(atom, 2, "raising")
+        got = mean_dipole_orders(pert, atom)
+        for key, state in states.items():
+            want = complex(np.trace(raising @ state))
+            assert np.array([got[key]]).tobytes() == np.array([want]).tobytes(), key
 
 
 def test_corrections_traceless_and_conjugation_paired(expansion_s1):
