@@ -241,7 +241,8 @@ def _exchange_basis() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 def _exchange_entries(tensor: np.ndarray) -> tuple[OperatorEntries, OperatorEntries]:
-    """V_plus and V_minus for the tensor as their nonzero entries."""
+    """V_plus and V_minus for an arbitrary 3 x 3 tensor as their nonzero
+    entries; both are linear in the tensor."""
     t = np.asarray(tensor, dtype=complex)
     if t.shape != (3, 3):
         raise ValueError("tensor must be 3 x 3")
@@ -250,20 +251,13 @@ def _exchange_entries(tensor: np.ndarray) -> tuple[OperatorEntries, OperatorEntr
     )
 
 
-def exchange_generators_from_tensor(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Photon-exchange generators for an arbitrary symmetric rank-2 tensor.
-
-    Returns the pair (V_plus, V_minus) of 256 x 256 arrays, multiplying the
-    exchange coupling g and its conjugate in the full generator
-    L = L_free + g V_plus + conj(g) V_minus.  Both annihilate the trace; only their g, g* weighted
-    sum preserves Hermiticity.  Both are linear in the tensor.
-    """
-    return tuple(v.dense() for v in _exchange_entries(tensor))
-
-
 def exchange_generators(n_hat: np.ndarray, gamma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Exchange generators for an atom pair oriented along n_hat."""
-    return exchange_generators_from_tensor(gamma * transverse_projector(n_hat))
+    """Photon-exchange generators for an atom pair oriented along n_hat:
+    exchange_entries(n_hat, gamma) as the pair (V_plus, V_minus) of
+    256 x 256 arrays, which multiply g and conj(g) in the full generator
+    L = L_free + g V_plus + conj(g) V_minus.  Both annihilate the trace;
+    only their g, g* weighted sum preserves Hermiticity."""
+    return tuple(v.dense() for v in exchange_entries(n_hat, gamma))
 
 
 class OperatorEntries:

@@ -110,7 +110,15 @@ class PhysParams:
     def from_saturation(cls, s: float, gamma: float = 1.0, delta: float = 0.0) -> "PhysParams":
         if not (math.isfinite(s) and s >= 0):
             raise ValueError(f"saturation must be non-negative and finite, got {s}")
-        omega = math.sqrt(2.0 * s * (gamma**2 + delta**2))
+        s, g, d = float(s), float(gamma), float(delta)
+        try:
+            omega = math.sqrt(2.0 * s * (g**2 + d**2))
+        except OverflowError:
+            omega = math.inf
+        if omega == math.inf:
+            # as in saturation: gamma and delta divided by the larger modulus
+            scale = max(abs(g), abs(d))
+            omega = scale * math.sqrt(2.0 * s * ((g / scale) ** 2 + (d / scale) ** 2))
         return cls(omega=omega, gamma=gamma, delta=delta)
 
 

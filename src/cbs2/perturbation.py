@@ -60,8 +60,7 @@ class _Sectors:
     """The sectors of a resolvent's vectors, which hold the entries rows of
     the 256-vector: per size, the (count, dim) sector indices (index), the
     sector number of each entry (sector, numbered from first[g] on in group
-    g), trace on rows, and the group and place of the sector of entry 0
-    (populations).  rows and sector fix the rest, so it is hashed and
+    g) and trace on rows.  rows and sector fix the rest, so it is hashed and
     compared on their bytes, not on its identity."""
 
     def __init__(self, rows: np.ndarray, index: tuple[np.ndarray, ...]):
@@ -70,9 +69,14 @@ class _Sectors:
         self.sector = np.empty(rows.size, dtype=int)
         for first, group in zip(self.first, index):
             self.sector[group] = first + np.arange(group.shape[0])[:, None]
-        g = int(np.searchsorted(self.first, self.sector[0], side="right")) - 1
-        self.populations = (g, int(self.sector[0] - self.first[g]))
         self._key = rows.tobytes() + self.sector.tobytes()
+
+    # the group and place of the sector of entry 0: on the sectors of a
+    # whole generator, that of the populations
+    @functools.cached_property
+    def populations(self) -> tuple[int, int]:
+        g = int(np.searchsorted(self.first, self.sector[0], side="right")) - 1
+        return g, int(self.sector[0] - self.first[g])
 
     def __hash__(self) -> int:
         return hash(self._key)
@@ -81,28 +85,17 @@ class _Sectors:
         return isinstance(other, _Sectors) and self._key == other._key
 
 
-class _SectorBlocks:
-    """The _Sectors of a generator and, per size, the stack of its blocks;
-    iterates as (sector indices, blocks) pairs."""
-
-    def __init__(self, sectors: _Sectors, blocks: list[np.ndarray]):
-        self.sectors, self.blocks = sectors, blocks
-
-    def __iter__(self):
-        return zip(self.sectors.index, self.blocks)
-
-
-def _sector_blocks(op: OperatorEntries) -> _SectorBlocks:
+def _sector_blocks(op: OperatorEntries) -> tuple[_Sectors, list[np.ndarray]]:
     """The sector blocks of a 256 x 256 generator given as its entries.
 
     A sector is a connected component of the nonzero pattern of the
     generator, with the trace row joined to index 0, so that all
     populations share the sector of index 0; the stationary state, the
     trace-row solve and the deflation |rho0><trace| all lie inside it.
-    Returns, per sector size in increasing size, the (count, dim) array of
-    sorted sector indices, cached on the pattern and read-only, and the
-    (count, dim, dim) stack of the diagonal blocks of the generator on
-    them, an array of its own, with the _Sectors they come from.
+    Returns the _Sectors of the generator, cached on its pattern (their
+    index holds, per sector size in increasing size, the read-only (count,
+    dim) array of sorted sector indices), and the list of the (count, dim,
+    dim) stacks of the generator's blocks on them, each an array of its own.
     """
     sectors, scatter = _block_plan(op.flat.tobytes())
     blocks = []
@@ -111,7 +104,7 @@ def _sector_blocks(op: OperatorEntries) -> _SectorBlocks:
         stack = np.zeros((count, dim, dim), dtype=complex)
         stack.reshape(-1)[targets] = op.values[entries]
         blocks.append(stack)
-    return _SectorBlocks(sectors, blocks)
+    return sectors, blocks
 
 
 # one plan per nonzero pattern: a few recur (drive, detuning and drive
@@ -175,15 +168,16 @@ def zeroth_steady_state(gen: np.ndarray) -> np.ndarray:
     return _steady_state(_sector_blocks(OperatorEntries.from_dense(gen)))
 
 
-def _steady_state(groups: _SectorBlocks) -> np.ndarray:
+def _steady_state(groups: tuple[_Sectors, list[np.ndarray]]) -> np.ndarray:
     """zeroth_steady_state on the sector blocks of a generator, as
     _sector_blocks gives them."""
+    sectors, blocks = groups
     # L is block diagonal in its sectors, so its singular values are those
     # of its blocks; every nonzero entry, NaN and inf included, lies in one
-    if not all(np.isfinite(blocks).all() for blocks in groups.blocks):
+    if not all(np.isfinite(stack).all() for stack in blocks):
         raise ValueError("generator has non-finite entries")
     sv = np.sort(
-        np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for b in groups.blocks])
+        np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for b in blocks])
     )[::-1]
     scale = max(sv[0], 1.0)
     if not sv[-2] >= 1e-8 * scale:
@@ -192,8 +186,8 @@ def _steady_state(groups: _SectorBlocks) -> np.ndarray:
             f"{sv[-2]:.3e} vs scale {scale:.3e})"
         )
 
-    g, k = groups.sectors.populations
-    populations, block = groups.sectors.index[g][k], groups.blocks[g][k]
+    g, k = sectors.populations
+    populations, block = sectors.index[g][k], blocks[g][k]
     rho = np.zeros(LIOUVILLE_DIM, dtype=complex)
     rho[populations] = _trace_row_solve(block, TRACE_VECTOR[populations])
     rho = rho.reshape(HILBERT_DIM, HILBERT_DIM)
@@ -235,37 +229,28 @@ class DeflatedResolvent:
     eigenvectors are formed, so exceptional points of L need no special
     treatment.
 
-    groups are the sector blocks of L, as _sector_blocks gives them; they
-    are kept without a copy, but for the group that takes the deflation.
-    restricted() gives the same resolvent on some of the sectors only, its
-    structure cached on this one's and the kept sectors
+    groups is the pair (sectors, blocks) of L that _sector_blocks gives;
+    the blocks are kept without a copy, but for the group that takes the
+    deflation.  restricted() gives the same resolvent on some of the
+    sectors only, its structure cached on this one's and the kept sectors
     (_restricted_sectors, 16 entries); rows lists the entries of the
     256-vector that its vectors hold (all of them here).
     """
 
-    def __init__(self, groups: _SectorBlocks, rho0: np.ndarray):
+    def __init__(self, groups: tuple[_Sectors, list[np.ndarray]], rho0: np.ndarray):
+        sectors, blocks = groups
         rho0 = np.asarray(rho0, dtype=complex).reshape(-1)
         # |rho0><trace| reaches only the trace's columns, the populations,
         # which all lie in the sector of index 0
-        g, k = groups.sectors.populations
-        rows = groups.sectors.index[g][k]
-        deflated = list(groups.blocks)
+        g, k = sectors.populations
+        rows = sectors.index[g][k]
+        deflated = list(blocks)
         deflated[g] = deflated[g].copy()
         deflated[g][k] += np.outer(rho0[rows], TRACE_VECTOR[rows])
         # per sector size, the stacks of the blocks of L and of the deflated
         # matrix
-        self._sectors, self.rows = groups.sectors, groups.sectors.rows
-        self._blocks, self._deflated = groups.blocks, deflated
-
-    def _closure(self, rows) -> tuple[_Sectors, np.ndarray, tuple]:
-        hit = np.zeros(self._sectors.first[-1], dtype=bool)
-        hit[self._sectors.sector[rows]] = True
-        return _restricted_sectors(self._sectors, hit.tobytes())
-
-    def sector_closure(self, rows) -> np.ndarray:
-        """Sorted indices of all entries of the sectors that hold any of
-        rows (indices into this resolvent's vectors)."""
-        return self._closure(rows)[1]
+        self._sectors, self.rows = sectors, sectors.rows
+        self._blocks, self._deflated = blocks, deflated
 
     def restricted(self, rows) -> "DeflatedResolvent":
         """The resolvent on the sectors that hold any of rows (indices into
@@ -276,9 +261,11 @@ class DeflatedResolvent:
         each sector into itself, so for a right-hand side that is 0 outside
         the kept sectors, solve() on the result gives the kept entries of
         solve() here, with the same traceless and residual checks.  Only
-        the kept blocks are gathered.
+        the kept blocks are gathered.  Empty rows keep no sector.
         """
-        sectors, _, groups = self._closure(rows)
+        hit = np.zeros(self._sectors.first[-1], dtype=bool)
+        hit[self._sectors.sector[rows]] = True
+        sectors, groups = _restricted_sectors(self._sectors, hit.tobytes())
         out = object.__new__(DeflatedResolvent)
         out._sectors, out.rows = sectors, sectors.rows
         out._blocks = [self._blocks[g][places] for g, places in groups]
@@ -373,11 +360,10 @@ class DeflatedResolvent:
 
 
 @functools.lru_cache(maxsize=16)
-def _restricted_sectors(parent: _Sectors, hit: bytes) -> tuple[_Sectors, np.ndarray, tuple]:
+def _restricted_sectors(parent: _Sectors, hit: bytes) -> tuple[_Sectors, tuple]:
     """The _Sectors of parent's resolvent on the sectors that hit marks (a
-    bool per sector, as bytes), its entries as indices into parent's
-    vectors (read-only), and (group, places of the kept sectors) per group
-    that keeps any."""
+    bool per sector, as bytes), and (group, places of the kept sectors) per
+    group that keeps any."""
     hit = np.frombuffer(hit, dtype=bool)
     kept = np.flatnonzero(hit[parent.sector])
     compact = np.full(parent.rows.size, -1)
@@ -385,7 +371,7 @@ def _restricted_sectors(parent: _Sectors, hit: bytes) -> tuple[_Sectors, np.ndar
     places = [np.flatnonzero(hit[a:b]) for a, b in zip(parent.first[:-1], parent.first[1:])]
     groups = tuple((g, p) for g, p in enumerate(places) if p.size)
     index = tuple(compact[parent.index[g][p]] for g, p in groups)
-    return _Sectors(parent.rows[kept], index), _read_only(kept), groups
+    return _Sectors(parent.rows[kept], index), groups
 
 
 # a few patterns recur per structure; the bound keeps arbitrary right-hand

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import DETECTED_LEVEL, LIOUVILLE_DIM, transition_operator
+from .generators import DETECTED_LEVEL, transition_operator
 from .geometry import Configuration, PhysParams, require_finite
 from .perturbation import (
     PerturbativeState,
@@ -196,23 +196,17 @@ class SpectrumEngine:
         functionals = np.stack(
             [transition_operator(b, DETECTED_LEVEL, "lowering").T.reshape(-1) for b in (1, 2)]
         )
-        # L is block diagonal, so the sweep needs solutions only on the
-        # sectors the functionals read: stage 2 solves there, stage 1 on
-        # the sectors that V+ and V- map into them, for y01 and y10.  Each
-        # stage-1 source is cut to the sectors of its column.
+        # L is block diagonal, so the sweep solves only on the sectors the
+        # functionals read (stage 2) and on those the stage-1 sources hold
+        # (y01, y10), which by the drive's selection rules lie in the
+        # sectors that V+ and V- map into the read ones
         self._read = resolvent.restricted(np.flatnonzero(np.any(functionals != 0, axis=0)))
         read = self._read.rows
-        is_read = np.zeros(LIOUVILLE_DIM, dtype=bool)
-        is_read[read] = True
         v_pair = (self.pert.v_plus, self.pert.v_minus)
         sources = {a: regression_sources(self.pert, a) for a in (1, 2)}
         # columns: s01 of atoms 1 and 2, then s10 of atoms 1 and 2
-        stage1 = np.zeros((LIOUVILLE_DIM, 4), dtype=complex)
-        for k, (v, key) in enumerate(zip(v_pair, ((0, 1), (1, 0)))):
-            # the columns V+- reach from the read rows
-            cut = resolvent.sector_closure(v.cols[is_read[v.rows]])
-            for a in (1, 2):
-                stage1[cut, 2 * k + a - 1] = sources[a][key].reshape(-1)[cut]
+        keys = ((0, 1), (1, 0))
+        stage1 = np.stack([sources[a][key].reshape(-1) for key in keys for a in (1, 2)], axis=1)
         self._stage1 = resolvent.restricted(np.flatnonzero(np.any(stage1 != 0, axis=1)))
         rows = self._stage1.rows
         self._sources = stage1[rows]
@@ -244,12 +238,12 @@ class SpectrumEngine:
         # solve() gives (L - z)^-1 = -R: x = -y, and u = -R (s11 + V+ y01
         # + V- y10)
         x = self._stage1.solve(z, self._sources)
-        f, m = x.shape[:2]
+        (f, m), n = x.shape[:2], len(self._s11)
         # x[f, :, (k, a)] -> [(k, :), (f, a)], for one product over all f and a
         x = x.reshape(f, m, 2, 2).transpose(2, 1, 0, 3).reshape(2 * m, 2 * f)
-        u = self._read.solve(z, self._s11 - (self._v @ x).reshape(-1, f, 2).transpose(1, 0, 2))
+        u = self._read.solve(z, self._s11 - (self._v @ x).reshape(n, f, 2).transpose(1, 0, 2))
         # u[f, :, a] -> out[f, a, b], in one product over all f and a
-        out = self._functionals @ u.transpose(1, 0, 2).reshape(-1, 2 * f)
+        out = self._functionals @ u.transpose(1, 0, 2).reshape(n, 2 * f)
         return out.reshape(2, f, 2).transpose(1, 2, 0)
 
     def densities(self, nu_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -126,6 +126,33 @@ def test_saturation_keeps_its_bits_on_ordinary_parameters():
                     assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
+@pytest.mark.filterwarnings("error")
+def test_from_saturation_scales_an_overflowing_product():
+    # delta**2, or 2 s (gamma**2 + delta**2), overflows, omega does not
+    assert PhysParams.from_saturation(1.0, delta=1e200).omega == pytest.approx(
+        math.sqrt(2.0) * 1e200, rel=1e-15
+    )
+    assert PhysParams.from_saturation(1e300, delta=1e10).omega == pytest.approx(
+        math.sqrt(2.0) * 1e160, rel=1e-15
+    )
+    assert PhysParams.from_saturation(np.float64(1e300), delta=np.float64(-1e10)).omega == (
+        pytest.approx(math.sqrt(2.0) * 1e160, rel=1e-15)
+    )
+    assert PhysParams.from_saturation(0.0, delta=1e200).omega == 0.0
+    with pytest.raises(ValueError, match="omega must be finite"):
+        PhysParams.from_saturation(1e300, delta=1e200)
+
+
+def test_from_saturation_keeps_its_bits_on_ordinary_parameters():
+    # the formula before the scaled form
+    for s in (0.0, 1e-6, 0.01, 0.5, 1.0, 3.0, 100.0, 1e8):
+        for gamma in (0.3, 1.0, 2.0, 7.5):
+            for delta in (-4.0, 0.0, 0.25, 3.0, 1e3):
+                want = math.sqrt(2.0 * s * (gamma**2 + delta**2))
+                got = PhysParams.from_saturation(s, gamma=gamma, delta=delta).omega
+                assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
 def test_phys_params_validation():
     with pytest.raises(ValueError):
         PhysParams(omega=1.0, gamma=0.0)

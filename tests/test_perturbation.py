@@ -192,9 +192,10 @@ def test_build_expansion_equals_public_constituents(omega, delta, phi_L, n_hat):
 
 
 def assert_blocks_equal_gather(groups, matrix):
-    assert sum(index.size for index, _ in groups) == LIOUVILLE_DIM
-    for index, blocks in groups:
-        assert blocks.tobytes() == gathered_blocks(matrix, index).tobytes()
+    sectors, blocks = groups
+    assert sum(index.size for index in sectors.index) == LIOUVILLE_DIM
+    for index, stack in zip(sectors.index, blocks, strict=True):
+        assert stack.tobytes() == gathered_blocks(matrix, index).tobytes()
 
 
 @pytest.mark.parametrize("phi_L", [0.0, 2.5])

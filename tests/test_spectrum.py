@@ -50,7 +50,7 @@ from cbs2.spectrum import (
 def sector_indices(matrix):
     """The sector indices of _sector_blocks, one (count, dim) array per
     sector size."""
-    return [index for index, _ in dense_sector_blocks(matrix)]
+    return dense_sector_blocks(matrix)[0].index
 
 
 def random_traceless(rng):
@@ -525,6 +525,43 @@ def test_engine_reads_the_sector_closure_of_the_functionals(orientation):
     assert np.array_equal(engine._stage1.rows, sector_closure(matrix, engine._stage1.rows))
 
 
+def selection_rule_points():
+    """Seeded (params, cfg): omega log-uniform over 1e-3..1e3 with the
+    exceptional points 0.5 and 1, every other point detuned by |delta| in
+    1e-2..1e2, random drive phases and orientations."""
+    rng = np.random.default_rng(20261020)
+    omegas = np.concatenate([[0.5, 1.0], 10.0 ** rng.uniform(-3.0, 3.0, 38)])
+    points = []
+    for k, omega in enumerate(omegas):
+        delta = 0.0 if k % 2 == 0 else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0)
+        n_hat = _unit(rng.standard_normal(3))
+        cfg = Configuration(n_hat=n_hat, phi_L=rng.uniform(0.0, 2.0 * np.pi))
+        params = PhysParams(omega=float(omega), delta=float(delta))
+        points.append(pytest.param(params, cfg, id=f"omega={omega:.3g}-delta={delta:.3g}"))
+    return points
+
+
+@pytest.mark.parametrize("params, cfg", selection_rule_points())
+def test_stage1_sources_lie_where_v_reaches_the_read_sectors(params, cfg):
+    # the selection rule that lets the engine stack its stage-1 sources
+    # without a cut: s01 lies in the sectors that V+ maps into the read
+    # sectors, s10 in those that V- maps there, both from the dense
+    # generators; a source may have no nonzero entry at all
+    engine = SpectrumEngine(params, cfg)
+    matrix = free_generator(params, cfg.phi_L)
+    read = engine._read.rows
+    assert np.array_equal(read, sector_closure(matrix, read))
+    allowed = []
+    for v, key in zip(exchange_generators(cfg.n_hat, params.gamma), ((0, 1), (1, 0))):
+        reached = sector_closure(matrix, np.flatnonzero(np.any(v[read] != 0, axis=0)))
+        outside = np.setdiff1d(np.arange(LIOUVILLE_DIM), reached)
+        for atom in (1, 2):
+            source = regression_sources(engine.pert, atom)[key].reshape(-1)
+            assert not np.any(source[outside]), (key, atom)
+        allowed.append(reached)
+    assert np.isin(engine._stage1.rows, np.concatenate(allowed)).all()
+
+
 def test_engine_set_up_allocates_no_256_by_256_array():
     # one complex 256 x 256 array is 1 MiB; after warm-up an engine's set-up,
     # its expansion included, stays below that
@@ -557,6 +594,14 @@ def test_restricted_resolvent_equals_full_solve_on_kept_sectors(free_and_rho0):
     assert np.array_equal(restricted.rows, np.sort(rows))
     x = restricted.solve(z, block[restricted.rows])
     assert np.array_equal(x, full.solve(z, block)[:, restricted.rows])
+
+
+def test_restricted_to_no_rows_solves_nothing(free_and_rho0):
+    free, rho0 = free_and_rho0
+    empty = DeflatedResolvent(dense_sector_blocks(free), rho0).restricted([])
+    assert empty.rows.shape == (0,)
+    assert empty.solve(-1j * np.array([-2.0, 0.0, 0.5]), np.zeros((0, 4))).shape == (3, 0, 4)
+    assert empty.solve(0.0, np.zeros(0)).shape == (0,)
 
 
 def test_restricted_resolvent_refuses_traced_right_hand_side(free_and_rho0):
@@ -716,6 +761,20 @@ def test_densities_refuse_a_grid_that_is_not_1d(engine_s1, grid):
 def test_densities_on_an_empty_grid(engine_s1):
     ladder, crossed = engine_s1.densities([])
     assert ladder.shape == crossed.shape == (0,)
+    p = engine_s1.pair_transforms(np.array([]))
+    assert p.shape == (0, 2, 2) and p.dtype == complex
+
+
+def test_undriven_engine_gives_zero_densities():
+    # no drive, no fluorescence: intensity_terms is all zeros there, and so
+    # are the densities and the integrated spectrum
+    params, cfg = PhysParams(omega=0.0), Configuration()
+    terms = intensity_terms(build_expansion(params, cfg), cfg)
+    assert terms.ladder_total == terms.crossed_total == 0.0
+    engine = SpectrumEngine(params, cfg)
+    ladder, crossed = engine.densities(np.linspace(-5.0, 5.0, 41))
+    assert not ladder.any() and not crossed.any()
+    assert integrate_spectrum(engine.spectrum()) == (0.0, 0.0)
 
 
 @pytest.mark.filterwarnings("error")
