@@ -13,7 +13,9 @@ the same deflated resolvent serves the spectral sweep at z = -i nu.
 build_expansion forms no 256 x 256 array: it takes the sector blocks of
 free_entries, which the steady state and the resolvent share, and
 applies V+- from their entries.  Two solve calls at z = 0 give the
-orders.  The dense free_generator, zeroth_steady_state and
+orders.  A Cholesky certificate decides the steady state's degeneracy
+check; an SVD runs only where it fails, at detuning 1e6 or omega from
+1e7 on.  The dense free_generator, zeroth_steady_state and
 perturbative_corrections, which read their arrays through
 OperatorEntries.from_dense, stay the public reference and give the same
 bits.  Structure is computed once per sector pattern, so a parameter
@@ -50,6 +52,9 @@ from .geometry import Configuration, PhysParams
 #: nonperturbative_intensity solves the coupled steady state.
 RING_COUPLING = 1e-3
 RING_PHASES = 8
+
+#: Singular values of L below DEGENERACY_TOL * max(largest, 1) count as zero.
+DEGENERACY_TOL = 1e-8
 
 
 class DegeneracyError(RuntimeError):
@@ -163,31 +168,31 @@ def zeroth_steady_state(gen: np.ndarray) -> np.ndarray:
     Solves L rho = 0 with the first row of the system replaced by the
     trace constraint, on the sector of index 0 only, then verifies
     residual, Hermiticity, positivity and uniqueness of the stationary
-    direction.  A NaN or infinite entry of L raises ValueError.
+    direction, the last by _certified or, only where that fails, an SVD
+    (DEGENERACY_TOL).  A NaN or infinite entry of L raises ValueError.
     """
     return _steady_state(_sector_blocks(OperatorEntries.from_dense(gen)))
 
 
 def _steady_state(groups: tuple[_Sectors, list[np.ndarray]]) -> np.ndarray:
     """zeroth_steady_state on the sector blocks of a generator, as
-    _sector_blocks gives them."""
+    _sector_blocks gives them; the SVD runs only where _certified fails."""
     sectors, blocks = groups
-    # L is block diagonal in its sectors, so its singular values are those
-    # of its blocks; every nonzero entry, NaN and inf included, lies in one
+    # every nonzero entry of L, NaN and inf included, lies in one block
     if not all(np.isfinite(stack).all() for stack in blocks):
         raise ValueError("generator has non-finite entries")
-    sv = np.sort(
-        np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for b in blocks])
-    )[::-1]
-    scale = max(sv[0], 1.0)
-    if not sv[-2] >= 1e-8 * scale:
-        raise DegeneracyError(
-            f"stationary subspace is degenerate (second singular value "
-            f"{sv[-2]:.3e} vs scale {scale:.3e})"
-        )
-
     g, k = sectors.populations
     populations, block = sectors.index[g][k], blocks[g][k]
+    if not _certified(blocks, g, k, TRACE_VECTOR[populations]):
+        # L is block diagonal, so its singular values are those of its blocks
+        sv = [np.linalg.svd(b, compute_uv=False) for b in blocks]
+        sv = np.sort(np.concatenate(sv, axis=None))[::-1]
+        scale = max(sv[0], 1.0)
+        if not sv[-2] >= DEGENERACY_TOL * scale:
+            raise DegeneracyError(
+                f"stationary subspace is degenerate (second singular value "
+                f"{sv[-2]:.3e} vs scale {scale:.3e})"
+            )
     rho = np.zeros(LIOUVILLE_DIM, dtype=complex)
     rho[populations] = _trace_row_solve(block, TRACE_VECTOR[populations])
     rho = rho.reshape(HILBERT_DIM, HILBERT_DIM)
@@ -205,6 +210,39 @@ def _steady_state(groups: tuple[_Sectors, list[np.ndarray]]) -> np.ndarray:
     if not eigs.min() >= -1e-10:
         raise RuntimeError(f"steady state not positive semidefinite ({eigs.min():.3e})")
     return rho
+
+
+def _certified(blocks: list[np.ndarray], g: int, k: int, trace: np.ndarray) -> bool:
+    """True only where the SVD check of _steady_state passes, proven without
+    an SVD; block k of group g is the population block P.
+
+    With F the largest Frobenius norm of A or a block, t = DEGENERACY_TOL *
+    max(F, 1) is at least the check's threshold.  A, P with row 0 replaced by
+    the trace row, is a rank-one change of P, so Weyl's inequality
+    sigma_{i+j-1}(X + Y) <= sigma_i(X) + sigma_j(Y) (Horn & Johnson, Topics
+    in Matrix Analysis, 3.3) gives sigma_min(A) <= sigma_{n-1}(P): if
+    sigma_min(M) >= t for A and every other block M, sv[-2] >= t.  For n x n
+    M that holds if fl(M* M) - tau I, tau = t^2 + 4 (n + 1) u ||M||_F^2, u =
+    2^-53, has a Cholesky factor: the product, the subtraction and the
+    factorization err by (n + 2) u, u and (n + 2) u times ||M||_F^2 in the
+    2-norm to first order (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.5-3.6 and 10.1).  Any DEGENERACY_TOL keeps the
+    proof; a smaller one only fails it more often.  A non-finite factor,
+    which LAPACK need not flag, fails it.
+    """
+    stacks = blocks[:g] + [blocks[g].copy()] + blocks[g + 1:]
+    stacks[g][k, 0] = trace
+    grams = [m.conj().swapaxes(1, 2) @ m for m in stacks]
+    diagonals = [np.einsum("kii->ki", gram) for gram in grams]
+    squares = [d.real.sum(axis=1) for d in diagonals]
+    top = max(np.vdot(blocks[g][k], blocks[g][k]).real, *(sq.max() for sq in squares))
+    t2, u = (DEGENERACY_TOL * max(np.sqrt(top), 1.0)) ** 2, np.finfo(float).eps / 2
+    for diagonal, sq in zip(diagonals, squares):
+        diagonal -= t2 + 4 * (diagonal.shape[1] + 1) * u * sq[:, None]
+    try:
+        return all(np.isfinite(np.linalg.cholesky(gram)).all() for gram in grams)
+    except np.linalg.LinAlgError:
+        return False
 
 
 class ResolventPoleError(RuntimeError):
@@ -301,8 +339,9 @@ class DeflatedResolvent:
         # one block per shift, or one that all shifts share; a shared block
         # is checked once, not on each shift
         b = b[None] if b.ndim == 2 else b[None, :, None] if b.ndim == 1 else b
+        squares = np.einsum("fnk,fnk->fk", b.conj(), b).real  # per column, for both checks
         trace = np.abs(self._sectors.trace @ b)
-        if np.any(trace > 1e-10 * np.maximum(np.linalg.norm(b, axis=1), 1e-300)):
+        if np.any(trace > 1e-10 * np.maximum(np.sqrt(squares), 1e-300)):
             raise ValueError(
                 f"right-hand side must be traceless, trace = {np.max(trace):.3e}"
             )
@@ -343,13 +382,14 @@ class DeflatedResolvent:
             # one product per sector, over all shifts and columns
             xt = x_r.transpose(1, 2, 0, 3)
             lx = (self._blocks[g][reached] @ xt.reshape(count, dim, -1)).reshape(xt.shape)
-            lx -= zs[:, None] * xt
+            if not unshifted:
+                lx -= zs[:, None] * xt
             lx -= b_r.transpose(1, 2, 0, 3)
-            squared += np.sum(np.abs(lx) ** 2, axis=(0, 1, 3))
+            squared += np.einsum("cdfk,cdfk->f", lx.conj(), lx).real
 
         # the residual test also rejects non-finite input and output
         residual = np.sqrt(squared)
-        bound = 1e-10 * np.maximum(np.linalg.norm(b, axis=(1, 2)), 1e-300)
+        bound = 1e-10 * np.maximum(np.sqrt(squares.sum(axis=1)), 1e-300)
         failed = np.flatnonzero(~(residual <= bound))
         if failed.size:
             f = failed[0]

@@ -7,7 +7,7 @@ from cbs2.acceptance import AcceptanceSuite
 from cbs2.average import AverageSpec, _check_theta
 from cbs2.generators import HILBERT_DIM, LIOUVILLE_DIM, OperatorEntries
 from cbs2.geometry import Configuration, PhysParams
-from cbs2.perturbation import _sector_blocks, build_expansion
+from cbs2.perturbation import DEGENERACY_TOL, DegeneracyError, _sector_blocks, build_expansion
 
 
 def apply(gen, rho):
@@ -34,6 +34,21 @@ def random_pattern_matrix(seed):
     hit = rng.random(matrix.shape) < 2e-3
     matrix[hit] = rng.standard_normal(hit.sum()) + 1j * rng.standard_normal(hit.sum())
     return matrix
+
+
+def svd_degeneracy_check(blocks):
+    """The degeneracy check of the steady state decided by the SVD of every
+    block, on every input: the reference of the Cholesky certificate.
+    Raises DegeneracyError with the message of _steady_state."""
+    sv = np.sort(
+        np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for b in blocks])
+    )[::-1]
+    scale = max(sv[0], 1.0)
+    if not sv[-2] >= DEGENERACY_TOL * scale:
+        raise DegeneracyError(
+            f"stationary subspace is degenerate (second singular value "
+            f"{sv[-2]:.3e} vs scale {scale:.3e})"
+        )
 
 
 def partial_trace(rho: np.ndarray, keep_atom: int) -> np.ndarray:

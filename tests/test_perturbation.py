@@ -1,6 +1,7 @@
 """Tests for the perturbative steady-state expansion in the exchange coupling."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -11,12 +12,14 @@ from conftest import (
     gathered_blocks,
     partial_trace,
     random_pattern_matrix,
+    svd_degeneracy_check,
 )
 
 from cbs2 import generators, oracle, perturbation
 from cbs2.generators import (
     HILBERT_DIM,
     LIOUVILLE_DIM,
+    TRACE_VECTOR,
     OperatorEntries,
     exchange_entries,
     exchange_generators,
@@ -26,11 +29,13 @@ from cbs2.generators import (
 )
 from cbs2.geometry import Configuration, PhysParams
 from cbs2.perturbation import (
+    DEGENERACY_TOL,
     DeflatedResolvent,
     DegeneracyError,
     IntensityTerms,
     _block_plan,
     _sector_blocks,
+    _steady_state,
     _trace_row_solve,
     build_expansion,
     checked_geometry_weight,
@@ -135,6 +140,126 @@ def test_zeroth_order_degeneracy_guard():
     for gen in (null_gen, matrix):
         with pytest.raises(DegeneracyError):
             zeroth_steady_state(gen)
+
+
+#: Drives of the edge grid of the degeneracy check, from none to 1e12; the
+#: certificate fails at detuning 1e6 and from omega = 1e7 on, and the SVD
+#: refuses from omega = 1e8 on
+EDGE_OMEGAS = (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 1e3, 1e6, 1e7, 1e8, 1e10, 1e12)
+
+
+def outcome(call):
+    """The bytes of call()'s array, or the type and message of its error."""
+    try:
+        return call().tobytes()
+    except (RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def certified(groups):
+    sectors, blocks = groups
+    g, k = sectors.populations
+    return perturbation._certified(blocks, g, k, TRACE_VECTOR[sectors.index[g][k]])
+
+
+def test_certificate_decides_like_the_svd_on_the_edge_grid(monkeypatch):
+    # every steady state, or every refusal with its type and message, is
+    # the one that the SVD alone gives, and the certificate passes only
+    # where the reference SVD check does
+    cases = set()
+    for omega, delta, phi_L in itertools.product(EDGE_OMEGAS, (0.0, 1.0, 1e4, 1e6), (0.0, 0.5, 2.5)):
+        groups = _sector_blocks(free_entries(PhysParams(omega=omega, delta=delta), phi_L))
+        got = outcome(lambda: _steady_state(groups))
+        with monkeypatch.context() as patch:
+            patch.setattr(perturbation, "_certified", lambda *args: False)
+            assert outcome(lambda: _steady_state(groups)) == got, (omega, delta, phi_L)
+        try:
+            svd_degeneracy_check(groups[1])
+            passes = True
+        except DegeneracyError as exc:
+            passes = False
+            assert got == (DegeneracyError, str(exc))
+        cases.add((certified(groups), passes))
+    # the grid holds a certified point, a fallback that passes and a refusal
+    assert cases == {(True, True), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 6, 12, 36])
+def test_certificate_passes_only_where_the_svd_check_does(dim):
+    # L of three groups: a 1 x 1 block of modulus 1e3, which makes the
+    # check's threshold and the certificate's t both 1e-5; a 4 x 4
+    # population block with one zero singular value; and three dim x dim
+    # blocks U diag(sigma) V*, one of which has its smallest singular value
+    # at t (1 +- 10^-j) and the rest of them up to 10, or all near t
+    rng = np.random.default_rng([28, dim])
+
+    def unitary(n):
+        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    def block(sigma):
+        return (unitary(sigma.size) * sigma) @ unitary(sigma.size).conj().T
+
+    t = DEGENERACY_TOL * 1e3
+    scale = np.full((1, 1, 1), 1e3 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+    population = block(np.array([5.0, 3.0, 1.0, 0.0]))[None]
+    trace = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    counts = {True: 0, False: 0}
+    for j, sign, top in itertools.product((1, 2, 4, 8, 12, 15), (1, -1), (None, 10.0)):
+        smallest = t * (1 + sign * 10.0**-j)
+        upper = smallest * (1 + 1e-3) if top is None else top
+        sigma = np.append(rng.uniform(smallest, upper, dim - 1), smallest)
+        probe = np.stack([block(sigma)] + [block(rng.uniform(1.0, 10.0, dim)) for _ in range(2)])
+        probe = probe[rng.permutation(3)]
+        blocks = [scale, population, probe]
+        if perturbation._certified(blocks, 1, 0, trace):
+            svd_degeneracy_check(blocks)
+            counts[True] += 1
+        elif sign < 0 and j <= 8:
+            with pytest.raises(DegeneracyError):
+                svd_degeneracy_check(blocks)
+            counts[False] += 1
+    assert counts[True] and counts[False]
+
+
+def enhancement_draw():
+    """CI's 500 seeded build_expansion + intensity_terms points."""
+    rng = np.random.default_rng(20261019)
+    points = []
+    while len(points) < 500:
+        n_hat = rng.standard_normal(3)
+        n_hat /= np.linalg.norm(n_hat)
+        phi_L = rng.uniform(0.0, 2.0 * np.pi)
+        s = 10.0 ** rng.uniform(-3.0, 3.0)
+        if 0.25 * (n_hat[0] ** 2 + n_hat[1] ** 2) ** 2 >= 1e-6:
+            points.append((PhysParams.from_saturation(s), Configuration(n_hat=n_hat, phi_L=phi_L)))
+    return points
+
+
+def engine_draw():
+    """CI's 150 seeded SpectrumEngine + 7 probe frequencies points."""
+    rng = np.random.default_rng(20261020)
+    return [
+        (PhysParams(omega=10.0 ** rng.uniform(-1.0, 2.0)),
+         Configuration(phi_L=rng.uniform(0.0, 2.0 * np.pi)))
+        for _ in range(150)
+    ]
+
+
+def test_working_range_takes_no_svd(monkeypatch):
+    # every fifth point of CI's enhancement and engine draws, and the
+    # acceptance drives with the exceptional points omega = 0.5 and 1: the
+    # certificate decides every steady state
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SVD on the working range")
+
+    monkeypatch.setattr(perturbation.np.linalg, "svd", refuse)
+    for params, cfg in enhancement_draw()[::5]:
+        intensity_terms(build_expansion(params, cfg), cfg)
+    engines = engine_draw()[::5] + [(PhysParams(omega=w), Configuration()) for w in (0.1, 0.5, 1.0, 10.0, 100.0)]
+    for params, cfg in engines:
+        SpectrumEngine(params, cfg).densities(params.omega * PROBE_MULTIPLES)
 
 
 @pytest.mark.parametrize("entry", [(5, 5), (17, 17), (17, 0)])
