@@ -346,7 +346,7 @@ class DeflatedResolvent:
                 f"right-hand side must be traceless, trace = {np.max(trace):.3e}"
             )
 
-        nonzero = np.any(b != 0, axis=0)
+        nonzero = np.any(b, axis=0)
         plan = _solve_plan(self._sectors, b.shape[2], np.packbits(nonzero).tobytes())
         # +0.0 is the one shift whose bits are all zero; x - (+0.0) is x for
         # every x, -0.0 included, so there the blocks are solved unshifted
@@ -465,14 +465,13 @@ class PerturbativeState:
     formed: they carry a net distance phase exp(+-2 i k0 r) that averages
     to zero over the configuration, and no intensity or spectrum reads
     them.  The deflated resolvent of the free generator and the exchange
-    generators V+ and V-, with which the orders were computed, are kept for
-    the spectral sweep; V+- as their nonzero entries (OperatorEntries),
-    not as 256 x 256 arrays.
+    generator V-, with which the orders were computed, are kept for the
+    spectral sweep, which reads V- only; V- as its nonzero entries
+    (OperatorEntries), not as a 256 x 256 array.
     """
 
     orders: dict
     resolvent: DeflatedResolvent = field(repr=False)
-    v_plus: OperatorEntries = field(repr=False)
     v_minus: OperatorEntries = field(repr=False)
 
     def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
@@ -527,7 +526,7 @@ def _corrections(
         trace = abs(np.trace(state))
         if not trace <= 1e-12 * max(np.linalg.norm(state), 1e-300):
             raise RuntimeError(f"order {key} correction has trace {trace:.3e}")
-    return PerturbativeState(orders, resolvent, v_plus, v_minus)
+    return PerturbativeState(orders, resolvent, v_minus)
 
 
 def build_expansion(params: PhysParams, cfg: Configuration) -> PerturbativeState:

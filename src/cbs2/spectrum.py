@@ -6,7 +6,10 @@ stationary generator and is Laplace-transformed with a resolvent.  The
 elastic (delta-peaked) component is removed from the initial conditions
 order by order, which leaves strictly decaying sources; the spectral
 density can then be evaluated directly on the real frequency axis,
-including nu = 0, through deflated resolvent solves.
+including nu = 0, through deflated resolvent solves.  The drive's
+selection rule zeroes the sources s00 and s01 (regression_sources checks
+both), so the sweep is two stages: s10 on the population sector, then
+s11 + V- R s10 on the sectors the detection functionals read.
 
 Densities are stored against nu in units of gamma and normalized exactly
 like IntensityTerms.normalized(), so integrating the inelastic density
@@ -31,8 +34,6 @@ from .perturbation import (
     mean_dipole_orders,
 )
 
-SOURCE_ORDERS = ((0, 0), (1, 0), (0, 1), (1, 1))
-
 #: Frequencies per batched resolvent call in SpectrumEngine.densities.
 #: Batching amortizes the per-call overhead.  Timed in fresh processes at
 #: omega = 1, 3 and 100 (600-point default grids, 2-vCPU host), a spectrum
@@ -52,17 +53,22 @@ class GridCoverageError(ValueError):
 def regression_sources(pert: PerturbativeState, atom: int) -> dict:
     """Order-resolved regression sources for the detected transition.
 
-    Maps each order (m, n) of SOURCE_ORDERS to the stationary state
-    correction of that order multiplied from the right by the raising
-    dipole, with the mean-dipole (elastic) part subtracted order by order;
-    each source is traceless, hence orthogonal to the stationary mode.
-    The drive never populates the detected excited level, so the (0, 0)
-    source vanishes; that is checked here, and the sweep leaves it out.
+    Maps each order (m, n) of pert to that order times the raising dipole
+    s_21 of the atom from the right, with the mean-dipole (elastic) part
+    subtracted order by order; each source is traceless.  rho s_21 reads
+    only the coherences <i|rho|2> of the detected level 2.  The drive's
+    selection rule zeroes two sources, checked here to 1e-12 of their
+    order's norm and left out of the sweep: s00, as the drive never
+    populates level 2, and s01, as rho_01 holds no <i|rho_01|2>.  The latter
+    is verified, not derived: wherever the expansion built on drives 1e-12
+    to 1e12 and detunings up to 1e6, rho_01 was rho_10^dagger and rho_10 had
+    no row of level 2, both to 2e-12 of |rho_10|, and |d01| and |s01| stayed
+    below 1e-32 and 1.1e-13 of |rho_01|.
     """
     raising = transition_operator(atom, DETECTED_LEVEL, "raising")
     dipoles = mean_dipole_orders(pert, atom)
     connected = {}
-    for m, n in SOURCE_ORDERS:
+    for m, n in pert.orders:
         conn = pert[(m, n)] @ raising
         for p in range(m + 1):
             for q in range(n + 1):
@@ -73,12 +79,11 @@ def regression_sources(pert: PerturbativeState, atom: int) -> dict:
             raise RuntimeError(
                 f"connected source ({m},{n}) has trace {trace:.3e}"
             )
-    single = np.linalg.norm(connected[(0, 0)])
-    if not single <= 1e-12 * np.linalg.norm(pert[(0, 0)]):
-        raise RuntimeError(
-            f"order (0, 0) source of atom {atom} has norm {single:.3e}: the "
-            f"drive populates the detected excited level"
-        )
+    for key, rule in (((0, 0), "the drive populates the detected excited level"),
+                      ((0, 1), "rho_01 holds coherences of the detected excited level")):
+        size = np.linalg.norm(connected[key])
+        if not size <= 1e-12 * np.linalg.norm(pert[key]):
+            raise RuntimeError(f"order {key} source of atom {atom} has norm {size:.3e}: {rule}")
     return connected
 
 
@@ -179,8 +184,8 @@ def default_frequency_grid(
 
 
 class SpectrumEngine:
-    """Caches the expansion orders, with their deflated resolvent and
-    exchange generators, for repeated spectral-density evaluations at one
+    """Caches the expansion orders, with their deflated resolvent and the
+    exchange generator V-, for repeated spectral-density evaluations at one
     parameter point."""
 
     def __init__(self, params: PhysParams, cfg: Configuration):
@@ -197,25 +202,23 @@ class SpectrumEngine:
             [transition_operator(b, DETECTED_LEVEL, "lowering").T.reshape(-1) for b in (1, 2)]
         )
         # L is block diagonal, so the sweep solves only on the sectors the
-        # functionals read (stage 2) and on those the stage-1 sources hold
-        # (y01, y10), which by the drive's selection rules lie in the
-        # sectors that V+ and V- map into the read ones
+        # functionals read (stage 2) and on the population sector, that of
+        # index 0, where s10 lies but for rounding, checked before it is
+        # dropped (stage 1; s00 and s01 vanish, see regression_sources)
         self._read = resolvent.restricted(np.flatnonzero(np.any(functionals != 0, axis=0)))
         read = self._read.rows
-        v_pair = (self.pert.v_plus, self.pert.v_minus)
         sources = {a: regression_sources(self.pert, a) for a in (1, 2)}
-        # columns: s01 of atoms 1 and 2, then s10 of atoms 1 and 2
-        keys = ((0, 1), (1, 0))
-        stage1 = np.stack([sources[a][key].reshape(-1) for key in keys for a in (1, 2)], axis=1)
-        self._stage1 = resolvent.restricted(np.flatnonzero(np.any(stage1 != 0, axis=1)))
+        stage1 = np.stack([sources[a][(1, 0)].reshape(-1) for a in (1, 2)], axis=1)
+        self._stage1 = resolvent.restricted([0])
         rows = self._stage1.rows
+        outside = np.linalg.norm(np.delete(stage1, rows, axis=0))
+        if not outside <= 1e-12 * np.linalg.norm(self.pert[(1, 0)]):
+            raise RuntimeError(f"order (1, 0) sources have norm {outside:.3e} outside the "
+                               "population sector: the drive's selection rule fails")
         self._sources = stage1[rows]
-        # [V+ V-] on the read rows and the stage-1 rows, so that one product
-        # gives V+ y01 + V- y10
-        self._v = np.concatenate([v.block(read, rows) for v in v_pair], axis=1)
+        self._v = self.pert.v_minus.block(read, rows)
         self._s11 = np.stack([sources[a][(1, 1)].reshape(-1)[read] for a in (1, 2)], axis=1)
-        # negated: they read the stage-2 solution, which is -R (see
-        # pair_transforms)
+        # negated: they read the stage-2 solution, -R (see pair_transforms)
         self._functionals = -functionals[:, read]
 
     def pair_transforms(self, nu: np.ndarray) -> np.ndarray:
@@ -223,26 +226,23 @@ class SpectrumEngine:
         nu (units of gamma); entry [f, a-1, b-1] pairs source atom a with
         detection functional atom b.
 
-        R s11 + R V+ R s01 + R V- R s10 = R (s11 + V+ y01 + V- y10), with
-        R = (z - L)^-1 at z = -i nu, s the sources of atom a and y = R s,
-        is two resolvent stages: a four-column one for y01 and y10 of both
-        atoms, then a two-column one, each on its sectors only (see
-        __init__).  The order-(0, 0) terms R V- R V+ R s00 + R V+ R V- R s00
-        are left out: regression_sources checks that s00 vanishes.
+        R s11 + R V- R s10, R = (z - L)^-1 at z = -i nu and s the sources
+        of atom a, is two two-column resolvent stages, each on its sectors
+        only (see __init__).  R V+ R s01 and R V-+ R V+- R s00 are left out:
+        regression_sources checks that s01 and s00 vanish.
         """
         # z = -i nu gamma by its parts: a product with 1j would turn an
         # infinite nu into NaN, with a warning, before solve() refuses it
         nu = np.atleast_1d(np.asarray(nu, dtype=float))
         z = np.zeros(nu.shape, dtype=complex)
         z.imag = -nu * self.params.gamma
-        # solve() gives (L - z)^-1 = -R: x = -y, and u = -R (s11 + V+ y01
-        # + V- y10)
+        # solve() gives (L - z)^-1 = -R: x = -y10, and u = -R (s11 + V- y10)
         x = self._stage1.solve(z, self._sources)
         (f, m), n = x.shape[:2], len(self._s11)
-        # x[f, :, (k, a)] -> [(k, :), (f, a)], for one product over all f and a
-        x = x.reshape(f, m, 2, 2).transpose(2, 1, 0, 3).reshape(2 * m, 2 * f)
+        # x[f, :, a] -> [:, (f, a)] and u[f, :, a] -> out[f, a, b], each in
+        # one product over all f and a
+        x = x.transpose(1, 0, 2).reshape(m, 2 * f)
         u = self._read.solve(z, self._s11 - (self._v @ x).reshape(n, f, 2).transpose(1, 0, 2))
-        # u[f, :, a] -> out[f, a, b], in one product over all f and a
         out = self._functionals @ u.transpose(1, 0, 2).reshape(n, 2 * f)
         return out.reshape(2, f, 2).transpose(1, 2, 0)
 

@@ -490,7 +490,7 @@ def test_solve_at_plus_zero_equals_the_shifted_solve():
 def test_solve_with_no_column_or_no_shift(expansion_s1):
     # an empty right-hand side or an empty array of shifts gives an empty X
     resolvent = expansion_s1.resolvent
-    block = -expansion_s1.v_plus.apply(expansion_s1[(0, 0)].reshape(-1))
+    block = -expansion_s1.v_minus.apply(expansion_s1[(0, 0)].reshape(-1))
     assert resolvent.solve(0.0, np.zeros((LIOUVILLE_DIM, 0))).shape == (LIOUVILLE_DIM, 0)
     assert resolvent.solve(np.array([]), block).shape == (0, LIOUVILLE_DIM)
 

@@ -405,6 +405,61 @@ def test_regression_sources_reject_populated_detected_level(expansion_pair):
             regression_sources(tilted, atom)
 
 
+def level_3_to_2(atom):
+    """1e-9 in every coherence <3|.|2> of the atom: in the column of its
+    detected level 2, off the diagonal and off the entries <1|.|2> that
+    its mean dipole reads."""
+    column = np.ones((16, 16)) @ transition_operator(atom, 2, "projector")
+    return 1e-9 * transition_operator(atom, 3, "projector") @ column
+
+
+@pytest.mark.parametrize("atom", [1, 2])
+def test_regression_sources_reject_coherence_read_in_order_01(expansion_pair, atom):
+    # weight in the column of the detected level of the atom, which its
+    # raising dipole reads, breaks the selection rule that zeroes s01
+    pert, _ = expansion_pair
+    spoiled = dataclasses.replace(pert, orders={**pert.orders, (0, 1): pert[(0, 1)] + level_3_to_2(atom)})
+    with pytest.raises(RuntimeError, match=rf"order \(0, 1\) source of atom {atom} .*rho_01 holds"):
+        regression_sources(spoiled, atom)
+
+
+@pytest.mark.parametrize("atom", [1, 2])
+def test_engine_rejects_order_10_source_outside_the_population_sector(monkeypatch, atom):
+    # rho_10 s_21 moves the column of the detected level into the ground
+    # column; from the rows of level 3 that lands outside the sector of the
+    # populations, which stage 1 keeps
+    params, cfg = PhysParams(omega=1.0), Configuration()
+    pert = build_expansion(params, cfg)
+    spoiled = dataclasses.replace(pert, orders={**pert.orders, (1, 0): pert[(1, 0)] + level_3_to_2(atom)})
+    monkeypatch.setattr("cbs2.spectrum.build_expansion", lambda *args: spoiled)
+    with pytest.raises(RuntimeError, match=r"order \(1, 0\) sources .* outside the population"):
+        SpectrumEngine(params, cfg)
+
+
+#: (omega, delta, phi_L) of the edge grid of the degeneracy check (omega in
+#: 0 and 1e-12..1e12 by decades, delta in 0, 1, 1e4, 1e6, phi_L in 0, 0.5,
+#: 2.5) at which an engine built when stage 1 was sized by the nonzero
+#: entries of its sources: every such point at delta 1e4 and 1e6, and the
+#: strongest drives at delta 0
+EDGE_ENGINES = (
+    [(0.0, delta, phi) for delta in (1e4, 1e6) for phi in (0.0, 0.5, 2.5)]
+    + [(1e-12, 1e4, 0.0), (1e-10, 1e4, 0.0), (1e-10, 1e4, 0.5), (1e-9, 1e4, 0.0)]
+    + [(1e-8, 1e4, 0.0), (1e-8, 1e4, 2.5), (1e-7, 1e4, 0.0), (1e4, 1e4, 0.5)]
+    + [(omega, 1e4, phi) for omega in (100.0, 1e3) for phi in (0.0, 0.5, 2.5)]
+    + [(1e-10, 1e6, 0.0), (1e-9, 1e6, 0.0), (1e-8, 1e6, 0.0), (1e4, 1e6, 2.5)]
+    + [(1e4, 0.0, phi) for phi in (0.0, 0.5, 2.5)] + [(1e5, 0.0, 0.0), (1e6, 0.0, 0.0)]
+)
+
+
+def test_engines_still_build_on_the_edge_grid():
+    # the selection-rule checks refuse none of these points, and stage 1 is
+    # the population sector at each driven one (0 sources at omega = 0)
+    for omega, delta, phi_L in EDGE_ENGINES:
+        engine = SpectrumEngine(PhysParams(omega=omega, delta=delta), Configuration(phi_L=phi_L))
+        assert engine._stage1.rows.size == 36 or omega == 0.0, (omega, delta, phi_L)
+        assert engine._sources.any() == (omega > 0.0), (omega, delta, phi_L)
+
+
 @pytest.mark.parametrize("delta", [0.0, 3.0])
 @pytest.mark.parametrize("omega", [0.5, 1.0, 100.0])
 def test_pair_transforms_match_dense_full_chain(omega, delta):
@@ -452,19 +507,21 @@ def csr_apply(op, x):
 
 
 def full_two_stage_sweep(engine, nu):
-    """pair_transforms on all 256 rows: R (s11 + V+ R s01 + V- R s10) with
-    uncut sources, both stages through the full resolvent, V+- as the
-    dense exchange generators, functionals on the full vector."""
+    """pair_transforms on all 256 rows: R (s11 + V- R s10) with the
+    engine's sources, s10 on the population sector of the dense generator,
+    both stages through the full resolvent, V- as the dense exchange
+    generator, functionals on the full vector."""
     pert = engine.pert
-    v_plus, v_minus = exchange_generators(engine.cfg.n_hat, engine.params.gamma)
+    v_minus = exchange_generators(engine.cfg.n_hat, engine.params.gamma)[1]
     z = -1j * nu * engine.params.gamma
     sources = {a: regression_sources(pert, a) for a in (1, 2)}
-    stage1 = np.stack(
-        [sources[a][key].reshape(-1) for key in ((0, 1), (1, 0)) for a in (1, 2)], axis=1
-    )
+    populations = sector_closure(free_generator(engine.params, engine.cfg.phi_L), [0])
+    s10 = np.stack([sources[a][(1, 0)].reshape(-1) for a in (1, 2)], axis=1)
+    stage1 = np.zeros_like(s10)
+    stage1[populations] = s10[populations]
     y = -pert.resolvent.solve(z, stage1)
     s11 = np.stack([sources[a][(1, 1)].reshape(-1) for a in (1, 2)], axis=1)
-    stage2 = s11 + csr_apply(v_plus, y[:, :, :2]) + csr_apply(v_minus, y[:, :, 2:])
+    stage2 = s11 + csr_apply(v_minus, y)
     total = -pert.resolvent.solve(z, stage2)
     functionals = sparse.csr_array(
         np.stack([transition_operator(b, 2, "lowering").T.reshape(-1) for b in (1, 2)])
@@ -489,7 +546,7 @@ ORIENTATIONS = {
 @pytest.mark.parametrize("omega", [0.1, 0.25, 0.5, 2.0**-0.5, 1.0, 10.0, 100.0])
 def test_pair_transforms_equal_full_two_stage_sweep(omega, delta, orientation):
     # the sweep on the read sectors solves the entries of the full sweep
-    # that reach the output bit for bit; its products with V+- and the
+    # that reach the output bit for bit; its products with V- and the
     # functionals sum over those entries only, so BLAS sums in another
     # order, and the two agree to rounding of each frequency's largest entry
     engine = SpectrumEngine(
@@ -521,7 +578,7 @@ def test_engine_reads_the_sector_closure_of_the_functionals(orientation):
     # for the driven pair: two 12-dimensional sectors; stage 1 adds the
     # 36-dimensional population sector
     assert engine._read.rows.size == 24
-    assert engine._stage1.rows.size == 60
+    assert engine._stage1.rows.size == 36
     assert np.array_equal(engine._stage1.rows, sector_closure(matrix, engine._stage1.rows))
 
 
@@ -543,10 +600,11 @@ def selection_rule_points():
 
 @pytest.mark.parametrize("params, cfg", selection_rule_points())
 def test_stage1_sources_lie_where_v_reaches_the_read_sectors(params, cfg):
-    # the selection rule that lets the engine stack its stage-1 sources
-    # without a cut: s01 lies in the sectors that V+ maps into the read
+    # the selection rule that lets the engine take stage 1 on the
+    # population sector: s01 lies in the sectors that V+ maps into the read
     # sectors, s10 in those that V- maps there, both from the dense
-    # generators; a source may have no nonzero entry at all
+    # generators; a source may have no nonzero entry at all; stage 1 is the
+    # 36-dimensional sector of index 0 at every driven point
     engine = SpectrumEngine(params, cfg)
     matrix = free_generator(params, cfg.phi_L)
     read = engine._read.rows
@@ -560,6 +618,8 @@ def test_stage1_sources_lie_where_v_reaches_the_read_sectors(params, cfg):
             assert not np.any(source[outside]), (key, atom)
         allowed.append(reached)
     assert np.isin(engine._stage1.rows, np.concatenate(allowed)).all()
+    assert engine._stage1.rows.size == 36
+    assert np.array_equal(engine._stage1.rows, sector_closure(matrix, [0]))
 
 
 def test_engine_set_up_allocates_no_256_by_256_array():
