@@ -19,10 +19,11 @@ check; an SVD runs only where it fails, at detuning 1e6 or omega from
 perturbative_corrections, which read their arrays through
 OperatorEntries.from_dense, stay the public reference and give the same
 bits.  Structure is computed once per sector pattern, so a parameter
-point does value work only, in three LRU caches keyed on content:
-_block_plan (32 entries) on the entries' positions, _restricted_sectors
-(16) on a structure and the kept sectors, _solve_plan (128) on a
-structure, the column count and the nonzero pattern of B.
+point does value work only, in two LRU caches keyed on content:
+_block_plan (32 entries) on the entries' positions and _restricted_sectors
+(16) on a structure and the kept sectors.  Each solve factors every sector
+of its resolvent, so each caller restricts it to the sectors its
+right-hand sides reach, the expansion as the spectral sweep does.
 """
 
 from __future__ import annotations
@@ -269,10 +270,12 @@ class DeflatedResolvent:
 
     groups is the pair (sectors, blocks) of L that _sector_blocks gives;
     the blocks are kept without a copy, but for the group that takes the
-    deflation.  restricted() gives the same resolvent on some of the
-    sectors only, its structure cached on this one's and the kept sectors
-    (_restricted_sectors, 16 entries); rows lists the entries of the
-    256-vector that its vectors hold (all of them here).
+    deflation.  solve() factors every sector the resolvent holds, so a
+    caller whose right-hand sides reach few sectors solves on restricted(),
+    the same resolvent on those sectors only, its structure cached on this
+    one's and the kept sectors (_restricted_sectors, 16 entries); rows
+    lists the entries of the 256-vector that its vectors hold (all of them
+    here).
     """
 
     def __init__(self, groups: tuple[_Sectors, list[np.ndarray]], rho0: np.ndarray):
@@ -299,7 +302,8 @@ class DeflatedResolvent:
         each sector into itself, so for a right-hand side that is 0 outside
         the kept sectors, solve() on the result gives the kept entries of
         solve() here, with the same traceless and residual checks.  Only
-        the kept blocks are gathered.  Empty rows keep no sector.
+        the kept blocks are gathered, a size group kept whole as views.
+        Empty rows keep no sector.
         """
         hit = np.zeros(self._sectors.first[-1], dtype=bool)
         hit[self._sectors.sector[rows]] = True
@@ -319,15 +323,12 @@ class DeflatedResolvent:
         of rows (256 unless restricted).  X has the shape of B, with a
         leading axis of length F when z is an array.
 
-        Only the sectors where B has a nonzero entry, for some shift or
-        column, are factored and solved; X is exactly 0 on all others.  A
-        column keeps its B, all zeros, on the solved sectors it does not
-        reach, so each column of X equals the solve of that column alone
-        bit for bit.  A singular block raises ResolventPoleError only when
-        B reaches it; a NaN or infinite shift or entry of B raises
-        ValueError before any solve.  Where each size group works is cached
-        on the structure, the column count and the packed nonzero pattern of
-        B (_solve_plan, 128 entries).
+        Every sector this resolvent holds is factored and solved, so
+        callers restrict it (restricted()) to the sectors B reaches; X is 0
+        on a sector where B is 0, and each column of X equals the solve of
+        that column alone bit for bit.  A singular block raises
+        ResolventPoleError, whether B reaches it or not; a NaN or infinite
+        shift or entry of B raises ValueError before any solve.
         """
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
         if not np.isfinite(zs).all():
@@ -346,21 +347,16 @@ class DeflatedResolvent:
                 f"right-hand side must be traceless, trace = {np.max(trace):.3e}"
             )
 
-        nonzero = np.any(b, axis=0)
-        plan = _solve_plan(self._sectors, b.shape[2], np.packbits(nonzero).tobytes())
         # +0.0 is the one shift whose bits are all zero; x - (+0.0) is x for
         # every x, -0.0 included, so there the blocks are solved unshifted
         unshifted = zs.tobytes() == bytes(16)
         x = np.empty((zs.size,) + b.shape[1:], dtype=complex)
-        x[...] = b
         # squared norm of (L - z) X - B per shift: L is block diagonal in
-        # the sectors and X and B are 0 outside the solved ones, so it adds
-        # up over those
+        # the sectors, so it adds up over them
         squared = np.zeros(zs.size)
-        for g, reached, where, columns in plan:
-            b_r = b[where]
-            deflated = self._deflated[g][reached]
-            count, dim = deflated.shape[:2]
+        for index, blocks, deflated in zip(self._sectors.index, self._blocks, self._deflated):
+            b_r = b[:, index]
+            count, dim = index.shape
             if unshifted:
                 shifted = deflated[None]
             else:
@@ -375,13 +371,11 @@ class DeflatedResolvent:
             # its trim threshold from the largest block freed, this one, and
             # with it alive a 32-frequency call was trimmed and faulted back
             # in every time, about 3,100 minor faults per 600-point spectrum
-            del shifted, deflated
-            if columns is not None:
-                x_r = np.where(columns, x_r, b_r)
-            x[where] = x_r
+            del shifted
+            x[:, index] = x_r
             # one product per sector, over all shifts and columns
             xt = x_r.transpose(1, 2, 0, 3)
-            lx = (self._blocks[g][reached] @ xt.reshape(count, dim, -1)).reshape(xt.shape)
+            lx = (blocks @ xt.reshape(count, dim, -1)).reshape(xt.shape)
             if not unshifted:
                 lx -= zs[:, None] * xt
             lx -= b_r.transpose(1, 2, 0, 3)
@@ -403,40 +397,16 @@ class DeflatedResolvent:
 def _restricted_sectors(parent: _Sectors, hit: bytes) -> tuple[_Sectors, tuple]:
     """The _Sectors of parent's resolvent on the sectors that hit marks (a
     bool per sector, as bytes), and (group, places of the kept sectors) per
-    group that keeps any."""
+    group that keeps any; the places are slice(None) where all are kept."""
     hit = np.frombuffer(hit, dtype=bool)
     kept = np.flatnonzero(hit[parent.sector])
     compact = np.full(parent.rows.size, -1)
     compact[kept] = np.arange(kept.size)
     places = [np.flatnonzero(hit[a:b]) for a, b in zip(parent.first[:-1], parent.first[1:])]
-    groups = tuple((g, p) for g, p in enumerate(places) if p.size)
+    groups = tuple((g, slice(None) if p.size == parent.index[g].shape[0] else p)
+                   for g, p in enumerate(places) if p.size)
     index = tuple(compact[parent.index[g][p]] for g, p in groups)
     return _Sectors(parent.rows[kept], index), groups
-
-
-# a few patterns recur per structure; the bound keeps arbitrary right-hand
-# sides from growing the cache for good
-@functools.lru_cache(maxsize=128)
-def _solve_plan(sectors: _Sectors, columns: int, pattern: bytes) -> tuple:
-    """Where solve() works for a B of that many columns whose nonzero
-    pattern over all shifts np.packbits packed: per group with a reached
-    sector, the group, the reached sectors (a slice when all are), the
-    index into B of their rows and used columns, and their (reached, 1,
-    used) live mask, None when all are live."""
-    nonzero = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8), count=sectors.rows.size * columns)
-    entries, cols = np.nonzero(nonzero.reshape(sectors.rows.size, columns))
-    live = np.zeros((sectors.first[-1], columns), dtype=bool)
-    live[sectors.sector[entries], cols] = True
-    plan = []
-    for g, index in enumerate(sectors.index):
-        group = live[sectors.first[g]:sectors.first[g + 1]]
-        reached, used = np.flatnonzero(group.any(axis=1)), np.flatnonzero(group.any(axis=0))
-        if reached.size:
-            mask = group[reached][:, None, used]
-            reached = slice(None) if reached.size == index.shape[0] else reached
-            where = (slice(None), index[reached][:, :, None], used)
-            plan.append((g, reached, where, None if mask.all() else mask))
-    return tuple(plan)
 
 
 def _batched_solve(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -487,8 +457,8 @@ def perturbative_corrections(
     """Expand the stationary state in g, conj(g) to order (1, 1).
 
     Two solve calls at z = 0 give the orders: one two-column solve for
-    (1, 0) and (0, 1), so each reached sector is factored once for both,
-    and one for (1, 1), whose right-hand side needs both.  The orders
+    (1, 0) and (0, 1), so each sector either reaches is factored once for
+    both, and one for (1, 1), whose right-hand side needs both.  The orders
     (2, 0) and (0, 2) are left out: their distance phase averages to zero
     and nothing reads them (see PerturbativeState).  V+- are applied from
     their nonzero entries, as in build_expansion.
@@ -513,9 +483,17 @@ def _corrections(
     def push(v: OperatorEntries, state: np.ndarray) -> np.ndarray:
         return -v.apply(state.reshape(-1))
 
-    first = resolvent.solve(0.0, np.stack([push(v_plus, rho0), push(v_minus, rho0)], axis=1))
+    def solve(b: np.ndarray) -> np.ndarray:
+        # on the sectors that hold the row of a nonzero entry of B, as the
+        # sweep solves; X is 0 on all others
+        reached = resolvent.restricted(np.nonzero(b)[0])
+        x = np.zeros(b.shape, dtype=complex)
+        x[reached.rows] = reached.solve(0.0, b[reached.rows])
+        return x
+
+    first = solve(np.stack([push(v_plus, rho0), push(v_minus, rho0)], axis=1))
     rho_10, rho_01 = np.ascontiguousarray(first.T).reshape(2, HILBERT_DIM, HILBERT_DIM)
-    rho_11 = resolvent.solve(0.0, push(v_plus, rho_01) + push(v_minus, rho_10)).reshape(
+    rho_11 = solve((push(v_plus, rho_01) + push(v_minus, rho_10))[:, None]).reshape(
         HILBERT_DIM, HILBERT_DIM
     )
 

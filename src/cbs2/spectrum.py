@@ -137,10 +137,15 @@ def default_frequency_grid(
     """Symmetric panelized Gauss-Legendre grid resolving all resonances.
 
     Panels are concentrated around the resonances at 0, omega/2, omega
-    and 2*omega and extended with logarithmic panels far into the
-    power-law tails, so that quadrature with the returned weights
-    integrates the spectral densities to much better than 1e-6 relative.
-    Returns (nu, weights) in units of gamma.
+    and 2*omega, up to 2 omega/gamma + 61, and extended with logarithmic
+    panels into the power-law tails up to 1e6.  Against the algebraic
+    totals, the quadrature with the returned weights misses by 2.6e-9
+    (ladder) and 2.4e-8 (crossed) at omega = 100 on 600 points, by 6.9e-5
+    and 8.4e-5 at omega = 1e3 on 600 points, by 1.1e-4 and 1.6e-4 at 1e4
+    on 2000 points and by 1.4e-2 and 1.6e-2 at 3e5 on 2000 points.  Where
+    the panels around the resonances reach the tail end 1e6 (omega/gamma
+    from about 5e5 on), the grid raises GridCoverageError.  Returns (nu,
+    weights) in units of gamma.
     """
     if points < 200:
         raise ValueError("need at least 200 grid points")
@@ -155,6 +160,11 @@ def default_frequency_grid(
             edges.add(c + off)
         edges.add(c)
     core_max = max(2.0 * w + 40.0, max(edges) + 1.0)
+    if core_max >= 1e6:
+        raise GridCoverageError(
+            f"at omega/gamma = {w:g} the panels around the resonances reach "
+            f"{core_max:g}, past the default grid's tail end 1e6"
+        )
     edges.add(core_max)
     core = sorted(e for e in edges if e <= core_max)
     merged = [core[0]]

@@ -55,7 +55,6 @@ STRUCTURE_CACHES = (
     generators._row_layout,
     perturbation._block_plan,
     perturbation._restricted_sectors,
-    perturbation._solve_plan,
 )
 
 #: Probe frequencies of an engine, in units of omega: the resonances.
@@ -447,12 +446,55 @@ def test_structure_caches_are_keyed_on_content():
     second = _block_plan(flat)[0]
     assert second is not first
     assert second == first and hash(second) == hash(first)
-    caches = (perturbation._restricted_sectors, perturbation._solve_plan)
-    before = [cache.cache_info() for cache in caches]
+    was = perturbation._restricted_sectors.cache_info()
     SpectrumEngine(params, cfg).densities(PROBE_MULTIPLES)
-    for cache, was in zip(caches, before):
-        now = cache.cache_info()
-        assert now.misses == was.misses and now.hits > was.hits, cache
+    now = perturbation._restricted_sectors.cache_info()
+    assert now.misses == was.misses and now.hits > was.hits
+
+
+@pytest.mark.parametrize(
+    "params, cfg",
+    [
+        (PhysParams.from_saturation(1.0), Configuration()),
+        (PhysParams(omega=2.0), Configuration(n_hat=(0.36, -0.48, 0.8))),
+        (PhysParams(omega=2.0, delta=0.3), Configuration(n_hat=(0.36, -0.48, 0.8), phi_L=0.7)),
+        (PhysParams(omega=30.0, delta=-4.0), Configuration(n_hat=(0.0, 0.6, 0.8), phi_L=2.1)),
+    ],
+    ids=["default", "oblique", "detuned-phased", "strong-detuned-phased"],
+)
+def test_expansion_factors_only_the_sectors_its_right_hand_sides_reach(monkeypatch, params, cfg):
+    # solve() factors every sector of its resolvent, so each of the two
+    # z = 0 solves of the expansion restricts it: the stacks given to
+    # _batched_solve are, per sector size, the sectors that hold a nonzero
+    # row of that solve's B, and no others
+    stacks = []
+
+    def recorded(matrices, rhs):
+        stacks.append((matrices.shape, rhs.shape[-1]))
+        return batched_solve(matrices, rhs)
+
+    batched_solve = perturbation._batched_solve
+    monkeypatch.setattr(perturbation, "_batched_solve", recorded)
+    pert = build_expansion(params, cfg)
+    sectors = _sector_blocks(free_entries(params, cfg.phi_L))[0].index
+    v_plus, v_minus = exchange_entries(cfg.n_hat, params.gamma)
+    # the B of each solve, by its column count: (1, 0) and (0, 1) together,
+    # then (1, 1)
+    rhs = {
+        2: [v_plus.apply(pert[(0, 0)].reshape(-1)), v_minus.apply(pert[(0, 0)].reshape(-1))],
+        1: [v_plus.apply(pert[(0, 1)].reshape(-1)) + v_minus.apply(pert[(1, 0)].reshape(-1))],
+    }
+    want = []
+    for columns, b in rhs.items():
+        nonzero = np.any(np.stack(b, axis=1) != 0, axis=1)
+        for index in sectors:
+            count, dim = int(np.any(nonzero[index], axis=1).sum()), index.shape[1]
+            if count:
+                want.append(((1, count, dim, dim), columns))
+    assert stacks == want
+    # the points are ones where B leaves sectors out, so solving on all of
+    # them would show
+    assert sum(shape[1] * shape[2] for shape, _ in stacks) < 2 * LIOUVILLE_DIM
 
 
 def test_caches_never_change_a_number():

@@ -188,8 +188,11 @@ def test_resolvent_leaves_unreached_sectors_at_zero(free_and_rho0):
 @pytest.mark.filterwarnings("error")
 def test_resolvent_pole_only_in_reached_sectors(free_and_rho0):
     # zeroing the rows and columns of one 12-dimensional coherence sector
-    # leaves twelve singular 1 x 1 blocks at z = 0: a right-hand side that
-    # reaches them raises, one that does not is solved as before
+    # leaves twelve singular 1 x 1 blocks at z = 0.  solve() factors every
+    # sector its resolvent holds, so the whole resolvent refuses any
+    # right-hand side, also one that is 0 there; keeping the pole out is the
+    # caller's part: restricted to the sectors B reaches, as the expansion
+    # and the sweep restrict, it solves as with the healthy generator
     free, rho0 = free_and_rho0
     dead = next(index for index in sector_indices(free) if index.shape[1] == 12)[0]
     matrix = free.copy()
@@ -197,12 +200,15 @@ def test_resolvent_pole_only_in_reached_sectors(free_and_rho0):
     matrix[:, dead] = 0.0
     resolvent = DeflatedResolvent(dense_sector_blocks(matrix), rho0)
     src = random_traceless(np.random.default_rng(12)).reshape(-1)
-    with pytest.raises(ResolventPoleError):
-        resolvent.solve(0.0, src)
     live = src.copy()
     live[dead] = 0.0
-    x = resolvent.solve(0.0, live)
-    assert np.all(x[dead] == 0)
+    for rhs in (src, live):
+        with pytest.raises(ResolventPoleError):
+            resolvent.solve(0.0, rhs)
+    reached = resolvent.restricted(np.flatnonzero(live))
+    assert not np.isin(dead, reached.rows).any()
+    x = np.zeros(LIOUVILLE_DIM, dtype=complex)
+    x[reached.rows] = reached.solve(0.0, live[reached.rows])
     want = DeflatedResolvent(dense_sector_blocks(free), rho0).solve(0.0, live)
     assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -1024,6 +1030,23 @@ def test_default_frequency_grid_properties():
     for omega, gamma in ((np.nan, 1.0), (np.inf, 1.0), (1.0, 0.0), (-5.0, 1.0), (1.0, -1.0)):
         with pytest.raises(ValueError, match="omega|gamma"):
             default_frequency_grid(omega, gamma)
+
+
+def test_default_frequency_grid_refuses_resonances_past_its_tail_end():
+    # the panels around the resonances end at 2 omega/gamma + 61 and the
+    # tail at 1e6; where the former reach the latter, the tail would run
+    # backwards and a spectrum be refused for an unordered grid
+    nu, weights = default_frequency_grid(4e5)
+    assert np.all(np.diff(nu) > 0) and np.all(weights > 0)
+    calls = [
+        lambda: default_frequency_grid((1e6 - 61.0) / 2.0),
+        lambda: default_frequency_grid(1.2e6, gamma=2.0),
+        lambda: SpectrumEngine(PhysParams(omega=6e5), Configuration()).spectrum(),
+        lambda: oracle_spectrum_result(6e5),
+    ]
+    for call in calls:
+        with pytest.raises(GridCoverageError, match="tail end 1e6"):
+            call()
 
 
 def test_oracle_spectrum_result_integrates_to_closed_totals():
