@@ -21,8 +21,9 @@ products reach.  Every generator is built as an OperatorEntries, its
 nonzero entries in row-major order (free_entries, exchange_entries); the
 dense complex 256 x 256 arrays of free_generator and exchange_generators,
 the public reference, are those entries scattered by
-OperatorEntries.dense.  The stationary trace constraint is handled by the
-solvers, not by deflating the generator itself.
+OperatorEntries.dense; atom_blocks reads the two one-atom generators off
+the free one.  The stationary trace constraint is handled by the solvers,
+not by deflating the generator itself.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ _DIAG = np.arange(HILBERT_DIM) * (HILBERT_DIM + 1)
 
 TRACE_VECTOR = np.zeros(LIOUVILLE_DIM)
 TRACE_VECTOR[_DIAG] = 1.0
+
+#: Rows 64 i + 4 j (atom 1) and 16 i + j (atom 2): the one-atom entry
+#: (i, j), in order 4 i + j, with the other atom in |1><1|.
+_ATOM_ROWS = np.add.outer(16 * np.arange(4), np.arange(4)).ravel() * np.array([[4], [1]])
 
 
 def _unit_matrix(k: int, l: int) -> np.ndarray:
@@ -204,6 +209,13 @@ def free_entries(params: PhysParams, phi_L: float) -> OperatorEntries:
     )
     basis, flat = _free_basis()
     return OperatorEntries(flat, _combine(coeffs, basis))
+
+
+def atom_blocks(op: OperatorEntries) -> tuple[np.ndarray, np.ndarray]:
+    """The 16 x 16 blocks of op on _ATOM_ROWS.  For the free generator, A
+    (x) I + I (x) B in the index (i1 j1, i2 j2), these are A and B exactly:
+    a one-atom generator is 0 on the diagonal at the ground population."""
+    return tuple(op.block(rows, rows) for rows in _ATOM_ROWS)
 
 
 def free_generator(params: PhysParams, phi_L: float = 0.0) -> np.ndarray:

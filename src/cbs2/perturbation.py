@@ -13,12 +13,12 @@ the same deflated resolvent serves the spectral sweep at z = -i nu.
 build_expansion forms no 256 x 256 array: it takes the sector blocks of
 free_entries, which the steady state and the resolvent share, and
 applies V+- from their entries.  Two solve calls at z = 0 give the
-orders.  A Cholesky certificate decides the steady state's degeneracy
-check; an SVD runs only where it fails, at detuning 1e6 or omega from
-1e7 on.  The dense free_generator, zeroth_steady_state and
-perturbative_corrections, which read their arrays through
-OperatorEntries.from_dense, stay the public reference and give the same
-bits.  Structure is computed once per sector pattern, so a parameter
+orders.  The steady state's degeneracy is decided on the two 16 x 16
+one-atom generators that atom_blocks reads off the pair.  The dense
+free_generator, zeroth_steady_state and perturbative_corrections, which
+read their arrays through OperatorEntries.from_dense, stay the public
+reference and give the same bits wherever both accept a point.
+Structure is computed once per sector pattern, so a parameter
 point does value work only, in two LRU caches keyed on content:
 _block_plan (32 entries) on the entries' positions and _restricted_sectors
 (16) on a structure and the kept sectors.  Each solve factors every sector
@@ -40,6 +40,7 @@ from .generators import (
     TRACE_VECTOR,
     OperatorEntries,
     _read_only,
+    atom_blocks,
     exchange_entries,
     exchange_generators,
     free_entries,
@@ -54,7 +55,8 @@ from .geometry import Configuration, PhysParams
 RING_COUPLING = 1e-3
 RING_PHASES = 8
 
-#: Singular values of L below DEGENERACY_TOL * max(largest, 1) count as zero.
+#: Singular values of a generator (each atom's in build_expansion) below
+#: DEGENERACY_TOL * max(largest, 1) count as zero.
 DEGENERACY_TOL = 1e-8
 
 
@@ -169,31 +171,44 @@ def zeroth_steady_state(gen: np.ndarray) -> np.ndarray:
     Solves L rho = 0 with the first row of the system replaced by the
     trace constraint, on the sector of index 0 only, then verifies
     residual, Hermiticity, positivity and uniqueness of the stationary
-    direction, the last by _certified or, only where that fails, an SVD
-    (DEGENERACY_TOL).  A NaN or infinite entry of L raises ValueError.
+    direction, the last by the SVD of L's own blocks: the reference, which
+    assumes no Kronecker sum.  A NaN or infinite entry raises ValueError.
     """
-    return _steady_state(_sector_blocks(OperatorEntries.from_dense(gen)))
+    groups = _sector_blocks(OperatorEntries.from_dense(gen))
+    return _steady_state(groups, {"generator": groups[1]})
 
 
-def _steady_state(groups: tuple[_Sectors, list[np.ndarray]]) -> np.ndarray:
+def _steady_state(groups: tuple[_Sectors, list[np.ndarray]], generators: dict) -> np.ndarray:
     """zeroth_steady_state on the sector blocks of a generator, as
-    _sector_blocks gives them; the SVD runs only where _certified fails."""
+    _sector_blocks gives them, with the stationary direction's uniqueness
+    decided on generators: each maps a name, which DegeneracyError quotes,
+    to the blocks of one block-diagonal generator.
+
+    build_expansion passes the atoms A and B of atom_blocks.  L0 is their
+    Kronecker sum, so its eigenvalues are the sums alpha + beta of theirs
+    (Horn & Johnson, Topics in Matrix Analysis, 4.4.5).  A Lindblad
+    generator has Re lambda <= 0, and a decaying atom Re lambda < 0 off its
+    stationary 0.  So alpha + beta = 0 only for alpha = beta = 0, and L0's
+    zero eigenvalue is simple exactly when each atom's is.  Both facts are
+    pinned in tests/test_generators.py, by
+    test_free_generator_is_kron_sum_of_atom_blocks and
+    test_atom_blocks_decay_off_their_stationary_direction.
+    """
     sectors, blocks = groups
     # every nonzero entry of L, NaN and inf included, lies in one block
     if not all(np.isfinite(stack).all() for stack in blocks):
         raise ValueError("generator has non-finite entries")
-    g, k = sectors.populations
-    populations, block = sectors.index[g][k], blocks[g][k]
-    if not _certified(blocks, g, k, TRACE_VECTOR[populations]):
-        # L is block diagonal, so its singular values are those of its blocks
-        sv = [np.linalg.svd(b, compute_uv=False) for b in blocks]
+    for name, generator in generators.items():
+        sv = [np.linalg.svd(b, compute_uv=False) for b in generator]
         sv = np.sort(np.concatenate(sv, axis=None))[::-1]
         scale = max(sv[0], 1.0)
         if not sv[-2] >= DEGENERACY_TOL * scale:
             raise DegeneracyError(
-                f"stationary subspace is degenerate (second singular value "
-                f"{sv[-2]:.3e} vs scale {scale:.3e})"
+                f"stationary subspace of {name} is degenerate (second singular "
+                f"value {sv[-2]:.3e} vs scale {scale:.3e})"
             )
+    g, k = sectors.populations
+    populations, block = sectors.index[g][k], blocks[g][k]
     rho = np.zeros(LIOUVILLE_DIM, dtype=complex)
     rho[populations] = _trace_row_solve(block, TRACE_VECTOR[populations])
     rho = rho.reshape(HILBERT_DIM, HILBERT_DIM)
@@ -211,39 +226,6 @@ def _steady_state(groups: tuple[_Sectors, list[np.ndarray]]) -> np.ndarray:
     if not eigs.min() >= -1e-10:
         raise RuntimeError(f"steady state not positive semidefinite ({eigs.min():.3e})")
     return rho
-
-
-def _certified(blocks: list[np.ndarray], g: int, k: int, trace: np.ndarray) -> bool:
-    """True only where the SVD check of _steady_state passes, proven without
-    an SVD; block k of group g is the population block P.
-
-    With F the largest Frobenius norm of A or a block, t = DEGENERACY_TOL *
-    max(F, 1) is at least the check's threshold.  A, P with row 0 replaced by
-    the trace row, is a rank-one change of P, so Weyl's inequality
-    sigma_{i+j-1}(X + Y) <= sigma_i(X) + sigma_j(Y) (Horn & Johnson, Topics
-    in Matrix Analysis, 3.3) gives sigma_min(A) <= sigma_{n-1}(P): if
-    sigma_min(M) >= t for A and every other block M, sv[-2] >= t.  For n x n
-    M that holds if fl(M* M) - tau I, tau = t^2 + 4 (n + 1) u ||M||_F^2, u =
-    2^-53, has a Cholesky factor: the product, the subtraction and the
-    factorization err by (n + 2) u, u and (n + 2) u times ||M||_F^2 in the
-    2-norm to first order (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 3.5-3.6 and 10.1).  Any DEGENERACY_TOL keeps the
-    proof; a smaller one only fails it more often.  A non-finite factor,
-    which LAPACK need not flag, fails it.
-    """
-    stacks = blocks[:g] + [blocks[g].copy()] + blocks[g + 1:]
-    stacks[g][k, 0] = trace
-    grams = [m.conj().swapaxes(1, 2) @ m for m in stacks]
-    diagonals = [np.einsum("kii->ki", gram) for gram in grams]
-    squares = [d.real.sum(axis=1) for d in diagonals]
-    top = max(np.vdot(blocks[g][k], blocks[g][k]).real, *(sq.max() for sq in squares))
-    t2, u = (DEGENERACY_TOL * max(np.sqrt(top), 1.0)) ** 2, np.finfo(float).eps / 2
-    for diagonal, sq in zip(diagonals, squares):
-        diagonal -= t2 + 4 * (diagonal.shape[1] + 1) * u * sq[:, None]
-    try:
-        return all(np.isfinite(np.linalg.cholesky(gram)).all() for gram in grams)
-    except np.linalg.LinAlgError:
-        return False
 
 
 class ResolventPoleError(RuntimeError):
@@ -512,12 +494,15 @@ def build_expansion(params: PhysParams, cfg: Configuration) -> PerturbativeState
 
     The sector blocks of the free generator are filled once from its
     entries, for the steady state and the resolvent alike, and V+- are
-    applied from theirs; the result equals
-    perturbative_corrections(free, v_plus, v_minus,
+    applied from theirs; the steady state's degeneracy is decided on the
+    two one-atom generators (atom_blocks).  Where both accept a point, the
+    result equals perturbative_corrections(free, v_plus, v_minus,
     zeroth_steady_state(free)) on the dense generators bit for bit.
     """
-    groups = _sector_blocks(free_entries(params, cfg.phi_L))
-    rho0 = _steady_state(groups)
+    entries = free_entries(params, cfg.phi_L)
+    groups = _sector_blocks(entries)
+    atom_1, atom_2 = atom_blocks(entries)
+    rho0 = _steady_state(groups, {"atom 1": [atom_1], "atom 2": [atom_2]})
     v_plus, v_minus = exchange_entries(cfg.n_hat, params.gamma)
     return _corrections(DeflatedResolvent(groups, rho0), v_plus, v_minus, rho0)
 

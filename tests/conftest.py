@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,12 @@ from cbs2.acceptance import AcceptanceSuite
 from cbs2.average import AverageSpec, _check_theta
 from cbs2.generators import HILBERT_DIM, LIOUVILLE_DIM, OperatorEntries
 from cbs2.geometry import Configuration, PhysParams
-from cbs2.perturbation import DEGENERACY_TOL, DegeneracyError, _sector_blocks, build_expansion
+from cbs2.perturbation import _sector_blocks, build_expansion
+
+#: The edge grid of the steady state's degeneracy check: (omega, delta,
+#: phi_L) at gamma = 1, drives from none to 1e12, detunings up to 1e6.
+EDGE_OMEGAS = (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 1e3, 1e6, 1e7, 1e8, 1e10, 1e12)
+EDGE_GRID = tuple(itertools.product(EDGE_OMEGAS, (0.0, 1.0, 1e4, 1e6), (0.0, 0.5, 2.5)))
 
 
 def apply(gen, rho):
@@ -34,21 +40,6 @@ def random_pattern_matrix(seed):
     hit = rng.random(matrix.shape) < 2e-3
     matrix[hit] = rng.standard_normal(hit.sum()) + 1j * rng.standard_normal(hit.sum())
     return matrix
-
-
-def svd_degeneracy_check(blocks):
-    """The degeneracy check of the steady state decided by the SVD of every
-    block, on every input: the reference of the Cholesky certificate.
-    Raises DegeneracyError with the message of _steady_state."""
-    sv = np.sort(
-        np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for b in blocks])
-    )[::-1]
-    scale = max(sv[0], 1.0)
-    if not sv[-2] >= DEGENERACY_TOL * scale:
-        raise DegeneracyError(
-            f"stationary subspace is degenerate (second singular value "
-            f"{sv[-2]:.3e} vs scale {scale:.3e})"
-        )
 
 
 def partial_trace(rho: np.ndarray, keep_atom: int) -> np.ndarray:

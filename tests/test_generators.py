@@ -8,7 +8,7 @@ of the superoperators without trusting any of the library's own plumbing.
 
 import numpy as np
 import pytest
-from conftest import apply, partial_trace
+from conftest import EDGE_GRID, apply, partial_trace
 from scipy.linalg import expm
 
 from cbs2.generators import (
@@ -20,8 +20,10 @@ from cbs2.generators import (
     _exchange_basis,
     _exchange_entries,
     _free_basis,
+    atom_blocks,
     dipole_components,
     exchange_generators,
+    free_entries,
     free_generator,
     sandwich,
     spost,
@@ -436,15 +438,17 @@ def direct_free_matrix(params, phi_L):
     return mat
 
 
+#: Row-major two-atom index (i1 i2, j1 j2) -> Kronecker-sum index (i1 j1, i2 j2).
+PAIR_ORDER = np.arange(LIOUVILLE_DIM).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(-1)
+
+
 def kron_sum_free_matrix(params, phi_L):
     """The Kronecker sum of the two single-atom generators, permuted to
     the row-major two-atom index order."""
     eye = np.eye(HILBERT_DIM, dtype=complex)
     atom_1 = single_atom_free_matrix(params)
     atom_2 = single_atom_free_matrix(params, phi_L)
-    # row-major two-atom index (i1 i2, j1 j2) -> Kronecker-sum index (i1 j1, i2 j2)
-    pair = np.arange(LIOUVILLE_DIM).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(-1)
-    return (np.kron(atom_1, eye) + np.kron(eye, atom_2))[np.ix_(pair, pair)]
+    return (np.kron(atom_1, eye) + np.kron(eye, atom_2))[np.ix_(PAIR_ORDER, PAIR_ORDER)]
 
 
 def test_free_generator_equals_direct_construction():
@@ -470,6 +474,45 @@ def test_free_generator_equals_kron_sum_reference(omega, delta, phi_L):
     for want in (kron_sum_free_matrix(params, phi_L), direct_free_matrix(params, phi_L)):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def atom_block_points():
+    """The edge grid at gamma = 1 and a seeded draw with gamma in 0.1..10
+    and delta up to 1e4, each (params, phi_L)."""
+    rng = np.random.default_rng(31)
+    drawn = [
+        (PhysParams(omega=10.0 ** rng.uniform(-3.0, 6.0), gamma=10.0 ** rng.uniform(-1.0, 1.0),
+                    delta=rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 4.0)),
+         rng.uniform(0.0, 2.0 * np.pi))
+        for _ in range(100)
+    ]
+    return [(PhysParams(omega=omega, delta=delta), phi_L) for omega, delta, phi_L in EDGE_GRID] + drawn
+
+
+def test_free_generator_is_kron_sum_of_atom_blocks():
+    # the two 16 x 16 blocks that atom_blocks reads off the free generator
+    # are its one-atom generators, as built from scratch: their Kronecker
+    # sum is the generator, to the last bit, so they decide its stationary
+    # direction
+    eye = np.eye(HILBERT_DIM)
+    for params, phi_L in atom_block_points():
+        a, b = atom_blocks(free_entries(params, phi_L))
+        assert np.array_equal(a, single_atom_free_matrix(params))
+        assert np.array_equal(b, single_atom_free_matrix(params, phi_L))
+        want = (np.kron(a, eye) + np.kron(eye, b))[np.ix_(PAIR_ORDER, PAIR_ORDER)]
+        assert np.array_equal(free_generator(params, phi_L), want), (params, phi_L)
+
+
+def test_atom_blocks_decay_off_their_stationary_direction():
+    # every eigenvalue of a one-atom generator but its stationary 0 lies at
+    # Re lambda <= -gamma/2 (-gamma measured), so a sum alpha + beta over
+    # the two atoms is 0 only where both are
+    for params, phi_L in atom_block_points():
+        for block in atom_blocks(free_entries(params, phi_L)):
+            eigs = np.linalg.eigvals(block)
+            stationary = np.argmax(eigs.real)
+            assert abs(eigs[stationary]) <= 1e-12 * max(np.linalg.norm(block, 2), 1.0)
+            assert np.delete(eigs, stationary).real.max() <= -params.gamma / 2, (params, phi_L)
 
 
 def test_free_generator_returns_own_array():

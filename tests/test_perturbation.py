@@ -1,25 +1,23 @@
 """Tests for the perturbative steady-state expansion in the exchange coupling."""
 
 import dataclasses
-import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import (
+    EDGE_GRID,
     apply,
     dense_sector_blocks,
     gathered_blocks,
     partial_trace,
     random_pattern_matrix,
-    svd_degeneracy_check,
 )
 
 from cbs2 import generators, oracle, perturbation
 from cbs2.generators import (
     HILBERT_DIM,
     LIOUVILLE_DIM,
-    TRACE_VECTOR,
     OperatorEntries,
     exchange_entries,
     exchange_generators,
@@ -29,7 +27,6 @@ from cbs2.generators import (
 )
 from cbs2.geometry import Configuration, PhysParams
 from cbs2.perturbation import (
-    DEGENERACY_TOL,
     DeflatedResolvent,
     DegeneracyError,
     IntensityTerms,
@@ -137,88 +134,66 @@ def test_zeroth_order_degeneracy_guard():
     matrix[coherence, :] = 0.0
     matrix[:, coherence] = 0.0
     for gen in (null_gen, matrix):
-        with pytest.raises(DegeneracyError):
+        with pytest.raises(DegeneracyError, match="of generator is degenerate"):
             zeroth_steady_state(gen)
 
 
-#: Drives of the edge grid of the degeneracy check, from none to 1e12; the
-#: certificate fails at detuning 1e6 and from omega = 1e7 on, and the SVD
-#: refuses from omega = 1e8 on
-EDGE_OMEGAS = (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 1e3, 1e6, 1e7, 1e8, 1e10, 1e12)
+#: The edge-grid points (omega, delta, phi_L) that the pair's degeneracy
+#: check refuses and the atoms' check passes, so that build_expansion
+#: refuses them on the steady state's residual check instead; at omega =
+#: 1e8 both causes are wrong
+RESIDUAL_NOT_DEGENERACY = {(1e8, delta, phi_L) for delta in (1e4, 1e6) for phi_L in (0.0, 0.5, 2.5)}
 
 
 def outcome(call):
-    """The bytes of call()'s array, or the type and message of its error."""
+    """The bytes of each order of call()'s PerturbativeState, or the type
+    and message of its error."""
     try:
-        return call().tobytes()
+        return [state.tobytes() for state in call().orders.values()]
     except (RuntimeError, ValueError) as exc:
         return type(exc), str(exc)
 
 
-def certified(groups):
-    sectors, blocks = groups
-    g, k = sectors.populations
-    return perturbation._certified(blocks, g, k, TRACE_VECTOR[sectors.index[g][k]])
+def test_expansion_decides_like_the_pair_on_the_edge_grid():
+    # build_expansion, which decides the steady state's degeneracy on the
+    # two atoms, against the pair reference on the dense generators: every
+    # point the reference accepts gives the same orders bit for bit, and
+    # every refusal is the reference's, a DegeneracyError naming an atom,
+    # but at RESIDUAL_NOT_DEGENERACY
+    kinds = set()
+    for omega, delta, phi_L in EDGE_GRID:
+        params, cfg = PhysParams(omega=omega, delta=delta), Configuration(phi_L=phi_L)
+
+        def reference():
+            free = free_generator(params, phi_L)
+            v_plus, v_minus = exchange_generators(cfg.n_hat, params.gamma)
+            return perturbative_corrections(free, v_plus, v_minus, zeroth_steady_state(free))
+
+        got, want = outcome(lambda: build_expansion(params, cfg)), outcome(reference)
+        point = (omega, delta, phi_L)
+        if point in RESIDUAL_NOT_DEGENERACY:
+            assert want[0] is DegeneracyError, point
+            assert got[0] is RuntimeError and got[1].startswith("steady-state residual"), point
+            kinds.add("residual")
+        elif isinstance(want, tuple) and want[0] is DegeneracyError:
+            assert got[0] is DegeneracyError and "of atom " in got[1], point
+            kinds.add("degenerate")
+        else:
+            assert got == want, point
+            kinds.add("accepted" if isinstance(want, list) else "refused")
+    assert kinds >= {"accepted", "degenerate", "residual"}
 
 
-def test_certificate_decides_like_the_svd_on_the_edge_grid(monkeypatch):
-    # every steady state, or every refusal with its type and message, is
-    # the one that the SVD alone gives, and the certificate passes only
-    # where the reference SVD check does
-    cases = set()
-    for omega, delta, phi_L in itertools.product(EDGE_OMEGAS, (0.0, 1.0, 1e4, 1e6), (0.0, 0.5, 2.5)):
-        groups = _sector_blocks(free_entries(PhysParams(omega=omega, delta=delta), phi_L))
-        got = outcome(lambda: _steady_state(groups))
-        with monkeypatch.context() as patch:
-            patch.setattr(perturbation, "_certified", lambda *args: False)
-            assert outcome(lambda: _steady_state(groups)) == got, (omega, delta, phi_L)
-        try:
-            svd_degeneracy_check(groups[1])
-            passes = True
-        except DegeneracyError as exc:
-            passes = False
-            assert got == (DegeneracyError, str(exc))
-        cases.add((certified(groups), passes))
-    # the grid holds a certified point, a fallback that passes and a refusal
-    assert cases == {(True, True), (False, True), (False, False)}
-
-
-@pytest.mark.parametrize("dim", [1, 2, 4, 6, 12, 36])
-def test_certificate_passes_only_where_the_svd_check_does(dim):
-    # L of three groups: a 1 x 1 block of modulus 1e3, which makes the
-    # check's threshold and the certificate's t both 1e-5; a 4 x 4
-    # population block with one zero singular value; and three dim x dim
-    # blocks U diag(sigma) V*, one of which has its smallest singular value
-    # at t (1 +- 10^-j) and the rest of them up to 10, or all near t
-    rng = np.random.default_rng([28, dim])
-
-    def unitary(n):
-        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        return q * (np.diag(r) / np.abs(np.diag(r)))
-
-    def block(sigma):
-        return (unitary(sigma.size) * sigma) @ unitary(sigma.size).conj().T
-
-    t = DEGENERACY_TOL * 1e3
-    scale = np.full((1, 1, 1), 1e3 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-    population = block(np.array([5.0, 3.0, 1.0, 0.0]))[None]
-    trace = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    counts = {True: 0, False: 0}
-    for j, sign, top in itertools.product((1, 2, 4, 8, 12, 15), (1, -1), (None, 10.0)):
-        smallest = t * (1 + sign * 10.0**-j)
-        upper = smallest * (1 + 1e-3) if top is None else top
-        sigma = np.append(rng.uniform(smallest, upper, dim - 1), smallest)
-        probe = np.stack([block(sigma)] + [block(rng.uniform(1.0, 10.0, dim)) for _ in range(2)])
-        probe = probe[rng.permutation(3)]
-        blocks = [scale, population, probe]
-        if perturbation._certified(blocks, 1, 0, trace):
-            svd_degeneracy_check(blocks)
-            counts[True] += 1
-        elif sign < 0 and j <= 8:
-            with pytest.raises(DegeneracyError):
-                svd_degeneracy_check(blocks)
-            counts[False] += 1
-    assert counts[True] and counts[False]
+def test_degeneracy_error_names_the_generator_it_decided_on():
+    # the figures of the pair's check, on the generator decided on; the
+    # zero generator of test_zeroth_order_degeneracy_guard names the pair
+    atom_1_message = r"of atom 1 is degenerate .* 1\.000e\+00 vs scale 1\.000e\+10"
+    with pytest.raises(DegeneracyError, match=atom_1_message):
+        build_expansion(PhysParams(omega=1e10), Configuration())
+    entries = free_entries(PhysParams(omega=1.0), 0.0)
+    atom_1, _ = generators.atom_blocks(entries)
+    with pytest.raises(DegeneracyError, match="of atom 2 is degenerate"):
+        _steady_state(_sector_blocks(entries), {"atom 1": [atom_1], "atom 2": [0 * atom_1]})
 
 
 def enhancement_draw():
@@ -245,20 +220,25 @@ def engine_draw():
     ]
 
 
-def test_working_range_takes_no_svd(monkeypatch):
+def test_working_range_takes_two_atom_svds(monkeypatch):
     # every fifth point of CI's enhancement and engine draws, and the
-    # acceptance drives with the exceptional points omega = 0.5 and 1: the
-    # certificate decides every steady state
+    # acceptance drives with the exceptional points omega = 0.5 and 1: each
+    # expansion decides its steady state on one 16 x 16 SVD per atom and
+    # takes no other SVD
+    svd, shapes = np.linalg.svd, []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("SVD on the working range")
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(perturbation.np.linalg, "svd", refuse)
-    for params, cfg in enhancement_draw()[::5]:
-        intensity_terms(build_expansion(params, cfg), cfg)
+    monkeypatch.setattr(perturbation.np.linalg, "svd", counted)
     engines = engine_draw()[::5] + [(PhysParams(omega=w), Configuration()) for w in (0.1, 0.5, 1.0, 10.0, 100.0)]
-    for params, cfg in engines:
-        SpectrumEngine(params, cfg).densities(params.omega * PROBE_MULTIPLES)
+    items = [lambda p=p, c=c: intensity_terms(build_expansion(p, c), c) for p, c in enhancement_draw()[::5]]
+    items += [lambda p=p, c=c: SpectrumEngine(p, c).densities(p.omega * PROBE_MULTIPLES) for p, c in engines]
+    for item in items:
+        shapes.clear()
+        item()
+        assert shapes == [(16, 16)] * 2
 
 
 @pytest.mark.parametrize("entry", [(5, 5), (17, 17), (17, 0)])
