@@ -10,14 +10,12 @@ integrated intensity within its window.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import _read_only
-from .spectrum import SpectrumResult, _CubicSpline
+from .spectrum import SpectrumResult, _CubicSpline, _gauss_legendre
 
 #: Minimum admissible window half width in units of gamma.
 MIN_WINDOW = 10.0
@@ -57,16 +55,8 @@ class PeakReport:
     shape: str
 
 
-@functools.cache
-def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The Gauss-Legendre nodes and weights on [-1, 1], computed on first
-    use (a few ms), not at import, and read-only."""
-    x, w = np.polynomial.legendre.leggauss(_QUAD_POINTS)
-    return _read_only(x), _read_only(w)
-
-
 def _window_nodes(window: float) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _legendre_rule()
+    x, w = _gauss_legendre(_QUAD_POINTS)
     return 0.5 * window * (x + 1.0), 0.5 * window * w
 
 

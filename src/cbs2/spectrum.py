@@ -14,15 +14,21 @@ s11 + V- R s10 on the sectors the detection functionals read.
 Densities are stored against nu in units of gamma and normalized exactly
 like IntensityTerms.normalized(), so integrating the inelastic density
 and adding the elastic weight reproduces the normalized intensity totals.
+The default grid puts tan-mapped Gauss-Legendre segments on the clusters
+of the pair's dressed-state lines, the last reaching infinity, so its
+weights integrate over the whole line; SpectrumEngine.spectrum checks that
+closure on every spectrum it returns.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import DETECTED_LEVEL, transition_operator
+from .generators import DETECTED_LEVEL, _read_only, transition_operator
 from .geometry import Configuration, PhysParams, require_finite
 from .perturbation import (
     PerturbativeState,
@@ -45,9 +51,21 @@ from .perturbation import (
 #: heap to the system and fault it back in on every call.
 SWEEP_CHUNK = 32
 
+#: Width, in units of gamma, of the tan map of default_frequency_grid, and
+#: the spacing below which the pair's lines form one cluster: the widest
+#: line of oracle.strong_field_spectra has half width 3 gamma.
+TAN_WIDTH = 3.0
+
+#: Largest miss of a spectrum's quadrature total against the algebraic one,
+#: relative to the latter, that SpectrumEngine.spectrum accepts: the
+#: tolerance of the spectrum-closure rows of validate.
+CLOSURE_TOL = 1e-6
+
 
 class GridCoverageError(ValueError):
-    """Frequency grid does not cover the spectral support well enough."""
+    """A frequency grid that cannot carry what is asked of it: a quadrature
+    that misses the algebraic totals, a spectrum without quadrature
+    weights, or too few nodes for a cubic interpolant."""
 
 
 def regression_sources(pert: PerturbativeState, atom: int) -> dict:
@@ -94,8 +112,9 @@ class SpectrumResult:
     nu is in units of gamma and strictly increasing; densities are per
     unit nu/gamma in the normalized intensity units.  quad_weights are
     present when the grid was built by default_frequency_grid and turn
-    sums into integrals.  symmetry_defect records the largest relative
-    nu -> -nu asymmetry found before symmetrization (resonant drive only).
+    sums into integrals over the whole real line.  symmetry_defect records
+    the largest relative nu -> -nu asymmetry found before symmetrization
+    (resonant drive only).
     """
 
     nu: np.ndarray
@@ -124,73 +143,79 @@ class SpectrumResult:
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} contains non-finite values")
         # the checks of the drive: a NaN omega or gamma would pass the
-        # grid-coverage and window comparisons that read them
+        # window comparisons that read them
         PhysParams(omega=self.omega, gamma=self.gamma, delta=self.delta)
         require_finite(self, "ladder_el_weight", "crossed_el_weight")
         if self.symmetry_defect is not None and not self.symmetry_defect >= 0:
             raise ValueError(f"symmetry_defect must be non-negative, got {self.symmetry_defect}")
 
 
-def default_frequency_grid(
-    omega: float, gamma: float = 1.0, points: int = 2000
-) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric panelized Gauss-Legendre grid resolving all resonances.
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], computed on
+    first use (leggauss(30) takes about 0.5 ms), not at import, and
+    read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return _read_only(x), _read_only(w)
 
-    Panels are concentrated around the resonances at 0, omega/2, omega
-    and 2*omega, up to 2 omega/gamma + 61, and extended with logarithmic
-    panels into the power-law tails up to 1e6.  Against the algebraic
-    totals, the quadrature with the returned weights misses by 2.6e-9
-    (ladder) and 2.4e-8 (crossed) at omega = 100 on 600 points, by 6.9e-5
-    and 8.4e-5 at omega = 1e3 on 600 points, by 1.1e-4 and 1.6e-4 at 1e4
-    on 2000 points and by 1.4e-2 and 1.6e-2 at 3e5 on 2000 points.  Where
-    the panels around the resonances reach the tail end 1e6 (omega/gamma
-    from about 5e5 on), the grid raises GridCoverageError.  Returns (nu,
-    weights) in units of gamma.
+
+def _line_centres(omega: float, delta: float) -> list[float]:
+    """Centres of the clusters of the pair's lines on nu >= 0, omega and
+    delta in units of gamma.
+
+    One atom's dressed-state lines lie at f = 0, (r - |delta|)/2,
+    (r + |delta|)/2 and r, r = hypot(omega, delta); the pair's at every
+    |f_i +- f_j|.  Lines less than TAN_WIDTH apart form one cluster, centred
+    at the midpoint of its extent, the first at 0.
+    """
+    r, d = math.hypot(omega, delta), abs(delta)
+    atom = (0.0, 0.5 * (r - d), 0.5 * (r + d), r)
+    # sorted(set()), not np.unique, which loads numpy.ma
+    lines = sorted({abs(a + sign * b) for a in atom for b in atom for sign in (1.0, -1.0)})
+    # each cluster after the first runs from a line after a gap to the line
+    # before the next gap (or the last line)
+    gaps = [i for i in range(1, len(lines)) if lines[i] - lines[i - 1] >= TAN_WIDTH]
+    return [0.0] + [0.5 * (lines[i] + lines[j - 1]) for i, j in zip(gaps, gaps[1:] + [len(lines)])]
+
+
+def default_frequency_grid(
+    omega: float, gamma: float = 1.0, points: int = 2000, delta: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric Gauss-Legendre grid on the pair's lines whose weights
+    integrate over the whole real line.
+
+    On nu >= 0 each half of the gap between two cluster centres of
+    _line_centres is one segment, tan-mapped from the centre at its end,
+    nu = c +- TAN_WIDTH tan(theta); past the last centre c come [c, 9c/8]
+    and [9c/8, inf) of width 9c/8 + TAN_WIDTH (a single cluster gives the
+    one segment [0, inf)).  Each segment has the same number of nodes in
+    theta, at least 6, and the grid is mirrored to nu < 0.  Returns (nu,
+    weights) in units of gamma, with about `points` nodes.
     """
     if points < 200:
         raise ValueError("need at least 200 grid points")
-    PhysParams(omega=omega, gamma=gamma)  # refuses NaN, omega < 0 and gamma <= 0
-    w = omega / gamma
-    centers = sorted({0.0, 0.5 * w, w, 2.0 * w})
-    offsets = np.array([1.5, 4.0, 10.0, 25.0, 60.0])
-    edges = {0.0}
-    for c in centers:
-        for off in offsets:
-            edges.add(max(c - off, 0.0))
-            edges.add(c + off)
-        edges.add(c)
-    core_max = max(2.0 * w + 40.0, max(edges) + 1.0)
-    if core_max >= 1e6:
-        raise GridCoverageError(
-            f"at omega/gamma = {w:g} the panels around the resonances reach "
-            f"{core_max:g}, past the default grid's tail end 1e6"
-        )
-    edges.add(core_max)
-    core = sorted(e for e in edges if e <= core_max)
-    merged = [core[0]]
-    for e in core[1:]:
-        if e - merged[-1] > 0.3:
-            merged.append(e)
-    if merged[-1] < core_max:
-        merged.append(core_max)
-
-    tail_edges = np.geomspace(core_max, 1e6, 13)[1:]
-    breaks = np.concatenate([merged, tail_edges])
-    n_panels = len(breaks) - 1
-    per_panel = max(6, int(round(points / (2 * n_panels))))
-    base_x, base_w = np.polynomial.legendre.leggauss(per_panel)
-
-    nodes, weights = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        nodes.append(mid + half * base_x)
-        weights.append(half * base_w)
-    nu_pos = np.concatenate(nodes)
-    w_pos = np.concatenate(weights)
-    nu = np.concatenate([-nu_pos[::-1], nu_pos])
-    wts = np.concatenate([w_pos[::-1], w_pos])
-    return nu, wts
+    PhysParams(omega=omega, gamma=gamma, delta=delta)  # refuses NaN, omega < 0, gamma <= 0
+    centres = _line_centres(omega / gamma, delta / gamma)
+    # (start, length, width) of each segment on nu >= 0; a negative length
+    # runs down from start
+    segments = []
+    for a, b in zip(centres[:-1], centres[1:]):
+        segments += [(a, 0.5 * (b - a), TAN_WIDTH), (b, 0.5 * (a - b), TAN_WIDTH)]
+    last = centres[-1]
+    if last > 0:
+        segments.append((last, last / 8.0, TAN_WIDTH))
+    segments.append((9.0 * last / 8.0, math.inf, 9.0 * last / 8.0 + TAN_WIDTH))
+    x, w = _gauss_legendre(max(6, round(points / (2 * len(segments)))))
+    nu, weights = [], []
+    for start, length, width in segments:
+        half = 0.5 * math.atan(length / width)  # pi/4 on [9c/8, inf)
+        theta = half * (x + 1.0)
+        nu.append(start + width * np.tan(theta))
+        weights.append(abs(half) * width * w / np.cos(theta) ** 2)
+    nu, weights = np.concatenate(nu), np.concatenate(weights)
+    order = np.argsort(nu)
+    nu, weights = nu[order], weights[order]
+    return np.concatenate([-nu[::-1], nu]), np.concatenate([weights[::-1], weights])
 
 
 class SpectrumEngine:
@@ -271,46 +296,48 @@ class SpectrumEngine:
         crossed = scale * (p[:, 0, 1] * phase + p[:, 1, 0] * np.conj(phase)).real
         return ladder, crossed
 
-    def spectrum(
-        self, nu_grid: np.ndarray | None = None, points: int = 2000
-    ) -> SpectrumResult:
-        if nu_grid is None:
-            nu, weights = default_frequency_grid(
-                self.params.omega, self.params.gamma, points
-            )
-        else:
-            nu = np.asarray(nu_grid, dtype=float)
-            weights = None
+    def spectrum(self, points: int = 2000) -> SpectrumResult:
+        """Densities and elastic weights on the default frequency grid of
+        about `points` nodes.  Raises GridCoverageError where the grid's
+        ladder or crossed total misses the algebraic one by more than
+        CLOSURE_TOL of it."""
+        params = self.params
+        nu, weights = default_frequency_grid(params.omega, params.gamma, points, params.delta)
         ladder, crossed = self.densities(nu)
 
         defect = None
-        if self.params.delta == 0:
-            mirrored = np.allclose(nu, -nu[::-1], rtol=0, atol=1e-12)
-            if mirrored:
-                ladder_m, crossed_m = ladder[::-1], crossed[::-1]
-            else:
-                ladder_m, crossed_m = self.densities(-nu[::-1])
-                ladder_m, crossed_m = ladder_m[::-1], crossed_m[::-1]
+        if params.delta == 0:
+            # the grid is its own mirror image: reversed densities are at -nu
             defect = 0.0
-            for dens, dens_m in ((ladder, ladder_m), (crossed, crossed_m)):
-                top = np.max(np.abs(dens - dens_m))
+            for dens in (ladder, crossed):
+                top = np.max(np.abs(dens - dens[::-1]))
                 defect = max(defect, top / max(np.max(np.abs(dens)), 1e-300))
-            ladder = 0.5 * (ladder + ladder_m)
-            crossed = 0.5 * (crossed + crossed_m)
+            ladder = 0.5 * (ladder + ladder[::-1])
+            crossed = 0.5 * (crossed + crossed[::-1])
 
         terms = intensity_terms(self.pert, self.cfg).normalized()
-        return SpectrumResult(
+        result = SpectrumResult(
             nu=nu,
             ladder_inel=ladder,
             crossed_inel=crossed,
             ladder_el_weight=terms.ladder_elastic,
             crossed_el_weight=terms.crossed_elastic,
-            omega=self.params.omega,
-            gamma=self.params.gamma,
-            delta=self.params.delta,
+            omega=params.omega,
+            gamma=params.gamma,
+            delta=params.delta,
             quad_weights=weights,
             symmetry_defect=defect,
         )
+        totals = (terms.ladder_total, terms.crossed_total)
+        for name, got, want in zip(("ladder", "crossed"), integrate_spectrum(result), totals):
+            if not abs(got - want) <= CLOSURE_TOL * abs(want):
+                raise GridCoverageError(
+                    f"at omega/gamma = {params.omega / params.gamma:g}, delta/gamma = "
+                    f"{params.delta / params.gamma:g} the {nu.size}-node grid's {name} total "
+                    f"misses the algebraic {want:.6e} by {abs(got - want):.3e}, more than "
+                    f"CLOSURE_TOL = {CLOSURE_TOL:g} of it"
+                )
+        return result
 
 
 class _CubicSpline:
@@ -355,7 +382,7 @@ class _CubicSpline:
         m[0] = m[1] + h[0] / h[1] * (m[1] - m[2])
         m[-1] = m[-2] + h[-1] / h[-2] * (m[-2] - m[-3])
         m = np.array(m)
-        self.x, self.y, self.h, self.m = x, y, h, m
+        self.x, self.y, self.m = x, y, m
         # the cubic of interval i in powers of (t - x[i])
         self.c1 = slope - h * (2.0 * m[:-1] + m[1:]) / 6.0
         self.c3 = np.diff(m) / (6.0 * h)
@@ -365,56 +392,21 @@ class _CubicSpline:
         dt = t - self.x[i]
         return self.y[i] + dt * (self.c1[i] + dt * (0.5 * self.m[i] + dt * self.c3[i]))
 
-    def integral(self) -> float:
-        """Integral over [x[0], x[-1]], interval by interval in closed form."""
-        h, y, m = self.h, self.y, self.m
-        return float(np.sum(0.5 * h * (y[:-1] + y[1:]) - h**3 * (m[:-1] + m[1:]) / 24.0))
-
-
-def _tail_correction(nu: np.ndarray, density: np.ndarray) -> float:
-    """Estimate the integral beyond the grid ends from the 1/nu^2 tails."""
-    n_fit = min(8, len(nu) // 10)
-    if n_fit == 0:
-        raise GridCoverageError(
-            f"the tail fit needs a grid of at least 10 points, got {len(nu)}"
-        )
-    right = np.mean(nu[-n_fit:] ** 2 * density[-n_fit:])
-    left = np.mean(nu[:n_fit] ** 2 * density[:n_fit])
-    return right / nu[-1] + left / abs(nu[0])
-
 
 def integrate_spectrum(spec: SpectrumResult) -> tuple[float, float]:
-    """Total (ladder, crossed) intensities: inelastic integral plus the
-    elastic weight, comparable to IntensityTerms.normalized().
-
-    Uses the stored panel quadrature weights when present, otherwise a
-    cubic-spline quadrature, plus an analytic power-law tail estimate
-    beyond the grid ends.
-    """
-    w = 2.0 * spec.omega / spec.gamma + 20.0
-    if spec.nu[-1] < w or spec.nu[0] > -w:
+    """Total (ladder, crossed) intensities, comparable to
+    IntensityTerms.normalized(): the quadrature of the inelastic density
+    with the grid's weights, which integrate over the whole line, plus the
+    elastic weight.  A spectrum without weights raises GridCoverageError."""
+    if spec.quad_weights is None:
         raise GridCoverageError(
-            f"grid must extend beyond +-(2 omega + 20 gamma) = {w:g}"
+            "the spectrum has no quadrature weights: only the grid of "
+            "default_frequency_grid integrates over the whole line"
         )
-    totals = []
-    for density, elastic in (
-        (spec.ladder_inel, spec.ladder_el_weight),
-        (spec.crossed_inel, spec.crossed_el_weight),
-    ):
-        peak = np.max(np.abs(density))
-        boundary = max(abs(density[0]), abs(density[-1]))
-        if boundary > 1e-6 * peak:
-            raise GridCoverageError(
-                f"density at the grid boundary is {boundary:.3e}, more than "
-                f"1e-6 of its peak {peak:.3e}"
-            )
-        if spec.quad_weights is not None:
-            inel = float(spec.quad_weights @ density)
-        else:
-            inel = _CubicSpline(spec.nu, density).integral()
-        inel += _tail_correction(spec.nu, density)
-        totals.append(inel + elastic)
-    return totals[0], totals[1]
+    return (
+        float(spec.quad_weights @ spec.ladder_inel) + spec.ladder_el_weight,
+        float(spec.quad_weights @ spec.crossed_inel) + spec.crossed_el_weight,
+    )
 
 
 def oracle_spectrum_result(

@@ -23,7 +23,7 @@ from cbs2.analysis import (
     filtered_enhancement,
     window_stats,
 )
-from cbs2.spectrum import SpectrumResult, oracle_spectrum_result
+from cbs2.spectrum import SpectrumResult, _gauss_legendre, oracle_spectrum_result
 
 OMEGA = 100.0
 EPS2 = 1.0 / OMEGA**2
@@ -279,14 +279,15 @@ def test_window_weights_match_fitpack(strong_spectrum, monkeypatch):
 
 
 def test_cached_legendre_rule_keeps_window_results_bitwise(strong_spectrum, monkeypatch):
-    # the rule is computed once per process and handed out read-only; the
-    # window results equal those of a rule computed afresh on every call
+    # the rule is computed once per process and size and handed out
+    # read-only, to the windows and the frequency grid alike; the window
+    # results equal those of a rule computed afresh on every call
     centers = [m * OMEGA for m in (0.0, 0.5, -1.0, 2.0)]
     cases = [(which, center) for which in ("ladder", "crossed") for center in centers]
     got = [window_stats(strong_spectrum, which, c, 25.0) for which, c in cases]
     got_enhancement = filtered_enhancement(strong_spectrum, OMEGA, 25.0)
-    nodes, weights = analysis._legendre_rule()
-    assert analysis._legendre_rule() is analysis._legendre_rule()
+    nodes, weights = _gauss_legendre(96)
+    assert _gauss_legendre(96) is _gauss_legendre(96)
     assert not nodes.flags.writeable and not weights.flags.writeable
 
     def fresh_nodes(window):
@@ -301,7 +302,7 @@ def test_cached_legendre_rule_keeps_window_results_bitwise(strong_spectrum, monk
 
 
 def test_legendre_rule_is_not_computed_at_import():
-    code = "import cbs2.analysis as a; print(a._legendre_rule.cache_info().currsize)"
+    code = "import cbs2.analysis, cbs2.spectrum as s; print(s._gauss_legendre.cache_info().currsize)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0"
 

@@ -25,8 +25,8 @@ def after_default_path(expression):
     """The value of expression, printed by a fresh interpreter after it has
     imported cbs2.cli, as every `cbs2` command does, and run the
     enhancement, spectrum and Monte-Carlo paths, and the spline paths: the
-    windowed weights, the filtered enhancement and the quadrature of a grid
-    without quadrature weights."""
+    windowed weights and the filtered enhancement of a grid without
+    quadrature weights."""
     code = (
         "import dataclasses, sys, numpy as np\n"
         "import cbs2.cli\n"
@@ -34,7 +34,7 @@ def after_default_path(expression):
         "from cbs2.average import AverageSpec, mc_average\n"
         "from cbs2.geometry import Configuration, PhysParams\n"
         "from cbs2.perturbation import numeric_enhancement\n"
-        "from cbs2.spectrum import SpectrumEngine, integrate_spectrum, oracle_spectrum_result\n"
+        "from cbs2.spectrum import SpectrumEngine, oracle_spectrum_result\n"
         "params, cfg = PhysParams(omega=1.0), Configuration()\n"
         "numeric_enhancement(params, cfg)\n"
         "SpectrumEngine(params, cfg).densities(np.linspace(-5.0, 5.0, 41))\n"
@@ -42,7 +42,6 @@ def after_default_path(expression):
         "spec = dataclasses.replace(oracle_spectrum_result(100.0), quad_weights=None)\n"
         "window_stats(spec, 'crossed', 50.0, 25.0)\n"
         "filtered_enhancement(spec, 100.0, 25.0)\n"
-        "integrate_spectrum(spec)\n"
         f"print({expression})\n"
     )
     return subprocess.run(
