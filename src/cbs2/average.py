@@ -6,16 +6,16 @@ and the crossed term additionally the fringe cos((k + k_L) . r_12).
 Averaging isotropically over orientations and over a shell of distances
 therefore reduces to the scalar factors computed here.
 
-Near exact backscattering the analytic angular average of the crossed
-factor is 2/15 - (k ell theta)^2 / 35 for a distance distribution sharply
-peaked at ell; the quadratic coefficient scales with the second moment
-of the distance distribution, so wide shells deviate from it.
+mc_average samples that average and exact_average integrates it: with
+n_x = mu uniform and the azimuth and the distance averaged in closed form,
+the crossed factor is a one-dimensional integral over mu in [0, 1], and
+the two evaluators check each other at every angle.  At theta = 0 it is
+the isotropic 2/15; near it, 2/15 - (k ell theta)^2 (1 + w^2/3) / 35.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +24,6 @@ from .geometry import require_finite
 
 #: Isotropic average of the squared orientation factor.
 ISOTROPIC_FACTOR = 2.0 / 15.0
-
-#: Beyond this value of k ell theta the quadratic expansion in theta is
-#: unreliable and a warning is issued.
-SMALL_ANGLE_LIMIT = 0.5
 
 #: Samples per chunk of the Monte Carlo draw: 96 KiB of normals.
 _MC_CHUNK = 4096
@@ -63,24 +59,6 @@ class AverageSpec:
 def _check_theta(theta: float) -> None:
     if not (math.isfinite(theta) and theta >= 0):
         raise ValueError(f"theta must be non-negative and finite, got {theta}")
-
-
-def angular_factor(theta: float, k_ell: float) -> tuple[float, float]:
-    """Analytic small-angle geometry factors (crossed, ladder).
-
-    The ladder factor is the isotropic constant 2/15; the crossed factor
-    acquires the quadratic fringe reduction -(k_ell * theta)^2 / 35.
-    """
-    _check_theta(theta)
-    if not (math.isfinite(k_ell) and k_ell > 0):
-        raise ValueError(f"k_ell must be positive and finite, got {k_ell}")
-    x = k_ell * theta
-    if x > SMALL_ANGLE_LIMIT:
-        warnings.warn(
-            f"k_ell * theta = {x:.3g} exceeds the small-angle expansion range",
-            stacklevel=2,
-        )
-    return ISOTROPIC_FACTOR - x**2 / 35.0, ISOTROPIC_FACTOR
 
 
 def mc_average(spec: AverageSpec, theta: float = 0.0) -> tuple[float, float]:
@@ -123,3 +101,28 @@ def mc_average(spec: AverageSpec, theta: float = 0.0) -> tuple[float, float]:
     mean = float(values.mean())
     sem = float(values.std(ddof=1) / math.sqrt(spec.samples))
     return mean, sem
+
+
+def exact_average(spec: AverageSpec, theta: float) -> float:
+    """The crossed geometry factor that mc_average samples, integrated.
+
+    With a = 2 sin(theta/2) ell_k0 and w = width_frac, the distance average
+    of the fringe is cos(a mu) sinc(a w mu) at n_x = mu, and the azimuthal
+    average of (n_x^2 + n_y^2)^2 is P(mu) = mu^2 + 3/8 (1 - mu^2)^2, so
+    the factor is 1/4 int_0^1 P cos sinc d mu.  Composite Gauss-Legendre
+    with 24 nodes on each of floor(|a| (1 + w) / 4) + 8 equal panels
+    resolves the fringe to rounding; the panels are taken _MC_CHUNK at a
+    time, so memory stays bounded at any k ell.
+    """
+    _check_theta(theta)
+    a = 2.0 * math.sin(0.5 * theta) * spec.ell_k0
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    panels = int(abs(a) * (1.0 + spec.width_frac) / 4.0) + 8
+    total = 0.0
+    for first in range(0, panels, _MC_CHUNK):
+        panel = np.arange(first, min(first + _MC_CHUNK, panels))[:, None]
+        mu = (panel + 0.5 * (nodes + 1.0)) / panels
+        p = mu**2 + 0.375 * (1.0 - mu**2) ** 2
+        fringe = np.cos(a * mu) * np.sinc(a * spec.width_frac * mu / np.pi)
+        total += float(np.sum(weights * p * fringe))
+    return 0.125 * total / panels

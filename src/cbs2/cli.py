@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, oracle
 from .acceptance import AcceptanceSuite
-from .average import AverageSpec, angular_factor, mc_average
+from .average import ISOTROPIC_FACTOR, AverageSpec, exact_average, mc_average
 from .geometry import Configuration, PhysParams
 from .perturbation import intensity_terms, numeric_enhancement
 from .spectrum import SpectrumEngine
@@ -276,7 +276,7 @@ def cmd_mc_average(args) -> int:
         width_frac=args.width_frac,
     )
     mean, sem = mc_average(spec, theta=args.theta)
-    crossed_fac, ladder_fac = angular_factor(args.theta, args.ell_k0)
+    crossed_fac = exact_average(spec, args.theta)
     buf = io.StringIO()
     buf.write(
         "theta,mean,std_error,crossed_factor_analytic,ladder_factor_analytic,"
@@ -284,7 +284,7 @@ def cmd_mc_average(args) -> int:
     )
     buf.write(
         f"{_fmt(args.theta)},{_fmt(mean)},{_fmt(sem)},{_fmt(crossed_fac)},"
-        f"{_fmt(ladder_fac)},{args.samples},{args.seed}\n"
+        f"{_fmt(ISOTROPIC_FACTOR)},{args.samples},{args.seed}\n"
     )
     _emit(_resolve_out(args.out), buf.getvalue())
     return EXIT_OK

@@ -233,6 +233,33 @@ def test_crossed_half_rabi_is_odd_dominated(strong_spectrum):
         assert abs(weight) > NULL_WEIGHT_FRACTION * abs_int
 
 
+def test_synthetic_doublet_is_classified_dispersive():
+    # a clean dispersive doublet at +-omega/2: the derivative of a
+    # Lorentzian, odd about each center and of zero net weight; the
+    # engine's and the oracle's doublets are ambiguous (see above)
+    nu = np.linspace(-300.0, 300.0, 6001)
+
+    def member(x):
+        return x / (x**2 + 2.25) ** 2
+
+    spec = SpectrumResult(
+        nu=nu,
+        ladder_inel=1.0 / (np.pi * (1.0 + nu**2)),
+        crossed_inel=member(nu - 50.0) - member(nu + 50.0),
+        ladder_el_weight=0.0,
+        crossed_el_weight=0.0,
+        omega=100.0,
+        gamma=1.0,
+        delta=0.0,
+    )
+    for center in (50.0, -50.0):
+        report = analyze_peak(spec, "crossed", center, 25.0)
+        assert report.shape == "dispersive"
+        assert report.odd_fraction > DOMINANCE_THRESHOLD
+        assert abs(report.weight) < NULL_WEIGHT_FRACTION * report.abs_integral
+    assert analyze_peak(spec, "ladder", 0.0, 25.0).shape == "lorentzian_positive"
+
+
 def test_peak_report_fields(strong_spectrum):
     report = analyze_peak(strong_spectrum, "crossed", OMEGA, 25.0)
     assert report.shape == "lorentzian_negative"

@@ -1,16 +1,19 @@
 """Tests for the isotropic configuration average of the geometry factors."""
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from conftest import one_shot_mc_average
 
+from cbs2 import average
 from cbs2.average import (
     _MC_CHUNK,
     ISOTROPIC_FACTOR,
     AverageSpec,
-    angular_factor,
+    exact_average,
     mc_average,
 )
 
@@ -19,23 +22,70 @@ def test_isotropic_factor_value():
     assert ISOTROPIC_FACTOR == pytest.approx(2.0 / 15.0, rel=1e-15)
 
 
-def test_angular_factor_examples():
-    crossed, ladder = angular_factor(0.0, 1000.0)
-    assert crossed == pytest.approx(2.0 / 15.0)
-    assert ladder == pytest.approx(2.0 / 15.0)
-    crossed, ladder = angular_factor(1e-4, 1000.0)  # k ell theta = 0.1
-    assert crossed == pytest.approx(2.0 / 15.0 - 0.01 / 35.0, rel=1e-12)
-    assert ladder == pytest.approx(2.0 / 15.0)
+def test_exact_average_examples():
+    spec = AverageSpec(ell_k0=1000.0, width_frac=0.5)
+    assert abs(exact_average(spec, 0.0) - 2.0 / 15.0) < 1e-15
+    # k ell theta = 0.1 on the default shell
+    assert exact_average(spec, 1e-4) == pytest.approx(0.133024049505664, abs=1e-15)
 
 
-def test_angular_factor_guards():
-    with pytest.raises(ValueError):
-        angular_factor(-1e-3, 1000.0)
-    for k_ell in (0.0, -5.0):
-        with pytest.raises(ValueError, match="k_ell must be positive"):
-            angular_factor(0.1, k_ell)
-    with pytest.warns(UserWarning):
-        angular_factor(1e-3, 1000.0)  # k ell theta = 1 > 0.5
+def test_exact_average_guards():
+    with pytest.raises(ValueError, match="theta"):
+        exact_average(AverageSpec(), -1e-3)
+    # far outside the cone (k ell theta = 3) the value stays exact, without
+    # a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = exact_average(AverageSpec(), 3e-3)
+    assert value == pytest.approx(-0.00811051261339441, abs=1e-15)
+
+
+def _composite_gauss_legendre(spec, theta, nodes, extra_panels):
+    """exact_average's integral in one shot, with `nodes` Gauss-Legendre
+    nodes on each of its panels plus `extra_panels` more, and P spelled as
+    the azimuthal average's three terms."""
+    a = 2.0 * math.sin(0.5 * theta) * spec.ell_k0
+    w = spec.width_frac
+    panels = int(abs(a) * (1.0 + w) / 4.0) + 8 + extra_panels
+    x, weights = np.polynomial.legendre.leggauss(nodes)
+    mu = (np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels
+    p = mu**4 + mu**2 * (1.0 - mu**2) + 0.375 * (1.0 - mu**2) ** 2
+    fringe = np.cos(a * mu) * np.sinc(a * w * mu / np.pi)
+    return 0.125 * float(np.sum(weights * p * fringe)) / panels
+
+
+@pytest.mark.parametrize("width_frac", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("k_ell", [100.0, 1000.0])
+def test_exact_average_is_converged(monkeypatch, k_ell, width_frac):
+    # twice the nodes on 50 more panels, or chunks of 7 panels, move no
+    # value beyond rounding, from the cone to theta = pi
+    spec = AverageSpec(ell_k0=k_ell, width_frac=width_frac)
+    thetas = [0.0, 1e-4, 1e-3, 1e-2, 0.1, 0.3, 1.0, 2.0, 3.0, math.pi]
+    values = [exact_average(spec, theta) for theta in thetas]
+    for theta, value in zip(thetas, values):
+        assert abs(value - _composite_gauss_legendre(spec, theta, 48, 50)) < 1e-14
+    monkeypatch.setattr(average, "_MC_CHUNK", 7)
+    for theta, value in zip(thetas, values):
+        assert abs(exact_average(spec, theta) - value) < 1e-14
+
+
+@pytest.mark.parametrize("width_frac", [0.0, 0.5])
+@pytest.mark.parametrize("k_ell", [100.0, 1000.0])
+def test_exact_average_quadratic_term(k_ell, width_frac):
+    # 2/15 - value = q^2 (k ell)^2 <(r/ell)^2> / 35 + O(q^4), with
+    # <(r/ell)^2> = 1 + w^2/3 on the uniform shell; w -> 0 is the sharp shell
+    theta = 1e-6
+    q = 2.0 * math.sin(0.5 * theta)
+    value = exact_average(AverageSpec(ell_k0=k_ell, width_frac=width_frac), theta)
+    coeff = (2.0 / 15.0 - value) / q**2
+    assert coeff == pytest.approx(k_ell**2 * (1.0 + width_frac**2 / 3.0) / 35.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("width_frac", [0.0, 0.5])
+@pytest.mark.parametrize("theta", [0.0, 3e-4, 3e-3, 0.1])
+def test_mc_average_samples_exact_average(theta, width_frac):
+    mean, sem = mc_average(AverageSpec(samples=1_000_000, seed=7, width_frac=width_frac), theta)
+    assert abs(mean - exact_average(AverageSpec(width_frac=width_frac), theta)) < 3.0 * sem
 
 
 def test_average_spec_validation():
@@ -114,9 +164,7 @@ def test_non_finite_inputs_are_refused(bad):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             AverageSpec(**{name: bad})
     with pytest.raises(ValueError, match="theta"):
-        angular_factor(bad, 1000.0)
-    with pytest.raises(ValueError, match="k_ell"):
-        angular_factor(1e-4, bad)
+        exact_average(AverageSpec(), bad)
     with pytest.raises(ValueError, match="theta"):
         mc_average(AverageSpec(samples=10), theta=bad)
 
@@ -153,12 +201,13 @@ def test_quadratic_fringe_reduction():
         assert coeff == pytest.approx(k_ell**2 / 35.0, rel=0.05)
 
 
-def test_mc_agrees_with_small_angle_expansion():
+def test_mc_agrees_with_exact_average_on_sharp_shell():
     k_ell = 100.0
     spec = AverageSpec(samples=1_000_000, seed=31, ell_k0=k_ell, width_frac=0.0)
     theta = 2e-3
     mean, sem = mc_average(spec, theta=theta)
-    crossed, _ = angular_factor(theta, k_ell)
+    crossed = exact_average(spec, theta)
+    assert crossed == pytest.approx(0.132193013688421, abs=1e-15)
     assert abs(mean - crossed) < 4.0 * sem
 
 

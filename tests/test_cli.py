@@ -188,6 +188,25 @@ def test_spectrum_numeric_matches_engine(capsys):
     assert np.allclose(got[:, 2], want_c, rtol=1e-12)
 
 
+def test_spectrum_oracle_strong_csv(capsys):
+    code, out, _ = run(capsys, "spectrum", "--omega", "100", "--method", "oracle_strong")
+    assert code == 0
+    lines = out.strip().split("\n")
+    meta = [line for line in lines if line.startswith("#")]
+    assert "# method = oracle_strong" in meta
+    # 14/3 omega^-2
+    assert "# ladder_inelastic_total = 0.000466666666666667" in meta
+    got = np.array(
+        [[float(f) for f in line.split(",")] for line in lines[1:] if not line.startswith("#")]
+    )
+    from cbs2 import oracle
+
+    want_l, want_c = oracle.strong_field_spectra(got[:, 0], 100.0)
+    total = 14.0 / 3.0 / 100.0**2
+    assert np.allclose(got[:, 1], want_l / total, rtol=1e-12, atol=0.0)
+    assert np.allclose(got[:, 2], want_c / total, rtol=1e-12, atol=0.0)
+
+
 def test_spectrum_method_preconditions(capsys):
     assert run(capsys, "spectrum", "--omega", "0.5", "--method", "oracle_weak")[0] == 1
     assert run(capsys, "spectrum", "--omega", "5", "--method", "oracle_strong")[0] == 1
@@ -247,7 +266,8 @@ def test_mc_average_output_and_determinism(tmp_path, capsys):
     fields = lines[1].split(",")
     mean, sem = float(fields[1]), float(fields[2])
     crossed = float(fields[3])
-    assert crossed == pytest.approx(2.0 / 15.0 - 0.01 / 35.0, rel=1e-10)
+    # the exact average of the drawn shell at k ell theta = 0.1, w = 0.5
+    assert crossed == pytest.approx(0.133024049505664, abs=1e-15)
     assert abs(mean - crossed) < 5.0 * sem
 
 
