@@ -57,8 +57,8 @@ class AverageSpec:
 
 
 def _check_theta(theta: float) -> None:
-    if not (math.isfinite(theta) and theta >= 0):
-        raise ValueError(f"theta must be non-negative and finite, got {theta}")
+    if not 0.0 <= theta <= math.pi:  # NaN fails too
+        raise ValueError(f"theta must lie in [0, pi], got {theta}")
 
 
 def mc_average(spec: AverageSpec, theta: float = 0.0) -> tuple[float, float]:
@@ -69,6 +69,7 @@ def mc_average(spec: AverageSpec, theta: float = 0.0) -> tuple[float, float]:
     |e_{+1}.Delta(n).e_{+1}|^2 cos(q . n r) with q the transferred
     wave vector of modulus 2 k0 sin(theta/2) transverse to the laser
     axis.  Returns (mean, standard_error); deterministic for fixed seed.
+    theta must lie in [0, pi]: past pi, 2 sin(theta/2) folds back.
 
     The draw runs in chunks of _MC_CHUNK samples and keeps two length-N
     arrays, 16 bytes per sample: the first pass draws all normals and

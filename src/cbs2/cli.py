@@ -154,7 +154,7 @@ def build_parser() -> _Parser:
     mc = sub.add_parser("mc-average", help="Monte Carlo geometric contrast factor")
     mc.add_argument("--samples", type=int, default=100_000)
     mc.add_argument("--seed", type=int, default=1)
-    mc.add_argument("--theta", type=float, default=0.0, help="backscattering offset angle, radians")
+    mc.add_argument("--theta", type=float, default=0.0, help="offset angle in [0, pi], radians")
     mc.add_argument("--ell-k0", type=float, default=1000.0)
     mc.add_argument("--width-frac", type=float, default=0.5)
     mc.add_argument("--out", default=None, help="output CSV path (default stdout)")

@@ -24,12 +24,22 @@ _block_plan (32 entries) on the entries' positions and _restricted_sectors
 (16) on a structure and the kept sectors.  Each solve factors every sector
 of its resolvent, so each caller restricts it to the sectors its
 right-hand sides reach, the expansion as the spectral sweep does.
+
+The detected channel is read out in one place.  detected_transition()
+holds the raising dipoles s_21 of both atoms and the functionals of
+their lowering dipoles; every reader forms a 2 x 2 atom-pair matrix,
+entry [a - 1, b - 1] for source atom a and detection atom b, and
+channels() turns it into the ladder term, each atom's own light, and
+the crossed term, the two atoms' interference at exact backscattering.
+intensity_terms, nonperturbative_intensity and the spectral densities
+all go through it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -564,26 +574,46 @@ class IntensityTerms:
         return IntensityTerms(*(getattr(self, f.name) / w for f in fields(self)))
 
 
+class DetectedTransition(NamedTuple):
+    """The detected transition 1 <-> 2 of both atoms, as
+    detected_transition() caches it, read-only: raising[a - 1] is the
+    raising dipole s_21 of atom a, and row b - 1 of lowering the functional
+    X -> tr(s_12 X) of atom b on the flat 256-vector X."""
+
+    raising: np.ndarray
+    lowering: np.ndarray
+
+    def pair(self, rho: np.ndarray) -> np.ndarray:
+        """The atom-pair matrix of rho for channels(): entry [a - 1, b - 1]
+        is tr(s_21 of atom a times s_12 of atom b times rho)."""
+        return (rho @ self.raising).reshape(2, -1) @ self.lowering.T
+
+
 @functools.cache
-def _detected_operators() -> tuple[np.ndarray, np.ndarray]:
-    """The operators of the detected channel, cached and read-only: the
-    populations of the detected level summed over both atoms (ladder) and
-    the raising dipole of atom 1 times the lowering dipole of atom 2
-    (crossed)."""
-    populations = transition_operator(1, DETECTED_LEVEL, "projector") + transition_operator(
-        2, DETECTED_LEVEL, "projector"
-    )
-    cross_op = transition_operator(1, DETECTED_LEVEL, "raising") @ transition_operator(
-        2, DETECTED_LEVEL, "lowering"
-    )
-    return _read_only(populations), _read_only(cross_op)
+def detected_transition() -> DetectedTransition:
+    """The DetectedTransition, built on first use."""
+    raising = np.stack([transition_operator(atom, DETECTED_LEVEL, "raising") for atom in (1, 2)])
+    # s_12 is the transpose of s_21, so tr(s_12 X) sums s_21 times X entrywise
+    return DetectedTransition(_read_only(raising), _read_only(raising.reshape(2, -1)))
+
+
+def channels(pair: np.ndarray, phi_L: float) -> tuple:
+    """(ladder, crossed) of atom-pair matrices pair[..., a - 1, b - 1],
+    source atom a and detection atom b: the ladder term is each atom's own
+    light, Re(p11 + p22), the crossed term the two atoms' interference,
+    Re(p12 exp(i phi_L) + p21 exp(-i phi_L)), where exact backscattering
+    cancels the drive phase difference phi_L."""
+    phase = np.exp(1j * phi_L)
+    ladder = (pair[..., 0, 0] + pair[..., 1, 1]).real
+    crossed = (pair[..., 0, 1] * phase + pair[..., 1, 0] * np.conj(phase)).real
+    return ladder, crossed
 
 
 def mean_dipole_orders(pert: PerturbativeState, atom: int) -> dict:
     """Order-resolved mean raising dipole <s_21> on the detected transition:
     trace(raising @ state), whose diagonal holds state[j, i] at row i for
     the four entries (i, j), all 1.0, of the raising dipole."""
-    rows, cols = np.nonzero(transition_operator(atom, DETECTED_LEVEL, "raising"))
+    rows, cols = np.nonzero(detected_transition().raising[atom - 1])
     diagonal = np.zeros(HILBERT_DIM, dtype=complex)
     dipoles = {}
     for key, state in pert.orders.items():
@@ -595,26 +625,16 @@ def mean_dipole_orders(pert: PerturbativeState, atom: int) -> dict:
 def intensity_terms(pert: PerturbativeState, cfg: Configuration) -> IntensityTerms:
     """Ladder and crossed intensities of the helicity-preserving channel.
 
-    The ladder term sums the single-atom populations of the detected
-    level; the crossed term is the two-atom interference contribution,
-    assembled at exact backscattering where the detection phase cancels
-    the drive phase difference.  Elastic parts are products of mean
-    dipoles of combined order two.
+    The totals are channels() of the pair matrix of rho_11; the elastic
+    parts are those of A A^dagger, where row a - 1 of A holds the mean
+    dipoles of atom a at orders (1, 0) and (0, 1), whose products make up
+    combined order two.
     """
     rho_11 = checked_order_11(pert)
-    phase = np.exp(1j * cfg.phi_L)
-    populations, cross_op = _detected_operators()
-    ladder_total = np.trace(populations @ rho_11).real
-    crossed_total = 2.0 * (complex(np.trace(cross_op @ rho_11)) * phase).real
-
-    d1 = mean_dipole_orders(pert, 1)
-    d2 = mean_dipole_orders(pert, 2)
-    ladder_elastic = sum(
-        abs(d[(1, 0)]) ** 2 + abs(d[(0, 1)]) ** 2 for d in (d1, d2)
-    )
-    pair = d1[(1, 0)] * np.conj(d2[(1, 0)]) + d1[(0, 1)] * np.conj(d2[(0, 1)])
-    crossed_elastic = 2.0 * (pair * phase).real
-
+    ladder_total, crossed_total = channels(detected_transition().pair(rho_11), cfg.phi_L)
+    dipoles = [mean_dipole_orders(pert, atom) for atom in (1, 2)]
+    a = np.array([[d[(1, 0)], d[(0, 1)]] for d in dipoles])
+    ladder_elastic, crossed_elastic = channels(a @ a.conj().T, cfg.phi_L)
     return IntensityTerms(
         ladder_total=ladder_total,
         crossed_total=crossed_total,
@@ -644,24 +664,16 @@ def nonperturbative_intensity(params: PhysParams, cfg: Configuration) -> tuple[f
 
     Solves the full coupled steady state on a ring of RING_PHASES
     exchange-coupling phases and isolates the phase-neutral Fourier
-    component, which equals the (1, 1) coefficient up to relative
-    corrections of order RING_COUPLING^2.  Returns (ladder_total,
+    component of its pair matrix, which equals that of the (1, 1)
+    coefficient up to relative corrections of order RING_COUPLING^2, and
+    reads it through channels().  Returns (ladder_total,
     crossed_total) in units of |g|^2.
     """
     free = free_generator(params, cfg.phi_L)
     v_plus, v_minus = exchange_generators(cfg.n_hat, params.gamma)
-    populations, cross_op = _detected_operators()
-    proj_sum = populations.reshape(-1)
-    cross_vec = cross_op.T.reshape(-1)
-
-    ladder_acc = 0.0
-    cross_acc = 0.0 + 0.0j
+    pair = 0.0
     for k in range(RING_PHASES):
         g = RING_COUPLING * np.exp(2j * np.pi * k / RING_PHASES)
         rho = _trace_row_solve(free + g * v_plus + np.conj(g) * v_minus)
-        ladder_acc += (proj_sum @ rho).real
-        cross_acc += cross_vec @ rho
-    ladder = ladder_acc / RING_PHASES / RING_COUPLING**2
-    t_pair = cross_acc / RING_PHASES / RING_COUPLING**2
-    crossed = 2.0 * (t_pair * np.exp(1j * cfg.phi_L)).real
-    return ladder, crossed
+        pair += detected_transition().pair(rho.reshape(HILBERT_DIM, HILBERT_DIM))
+    return channels(pair / RING_PHASES / RING_COUPLING**2, cfg.phi_L)

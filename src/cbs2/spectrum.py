@@ -9,7 +9,9 @@ density can then be evaluated directly on the real frequency axis,
 including nu = 0, through deflated resolvent solves.  The drive's
 selection rule zeroes the sources s00 and s01 (regression_sources checks
 both), so the sweep is two stages: s10 on the population sector, then
-s11 + V- R s10 on the sectors the detection functionals read.
+s11 + V- R s10 on the sectors the detection functionals read.  The
+dipoles and functionals are perturbation.detected_transition()'s, and
+the densities are channels() of the sweep's atom-pair matrices.
 
 Densities are stored against nu in units of gamma and normalized exactly
 like IntensityTerms.normalized(), so integrating the inelastic density
@@ -28,14 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import DETECTED_LEVEL, _read_only, transition_operator
+from .generators import _read_only
 from .geometry import Configuration, PhysParams, require_finite
 from .perturbation import (
     PerturbativeState,
     ResolventPoleError,
     build_expansion,
+    channels,
     checked_geometry_weight,
     checked_order_11,
+    detected_transition,
     intensity_terms,
     mean_dipole_orders,
 )
@@ -83,7 +87,7 @@ def regression_sources(pert: PerturbativeState, atom: int) -> dict:
     no row of level 2, both to 2e-12 of |rho_10|, and |d01| and |s01| stayed
     below 1e-32 and 1.1e-13 of |rho_01|.
     """
-    raising = transition_operator(atom, DETECTED_LEVEL, "raising")
+    raising = detected_transition().raising[atom - 1]
     dipoles = mean_dipole_orders(pert, atom)
     connected = {}
     for m, n in pert.orders:
@@ -233,9 +237,7 @@ class SpectrumEngine:
         checked_order_11(self.pert)
         resolvent = self.pert.resolvent
         # row b-1 reads the lowering dipole of detection atom b
-        functionals = np.stack(
-            [transition_operator(b, DETECTED_LEVEL, "lowering").T.reshape(-1) for b in (1, 2)]
-        )
+        functionals = detected_transition().lowering
         # L is block diagonal, so the sweep solves only on the sectors the
         # functionals read (stage 2) and on the population sector, that of
         # index 0, where s10 lies but for rounding, checked before it is
@@ -290,11 +292,9 @@ class SpectrumEngine:
         p = np.empty((nu.size, 2, 2), dtype=complex)
         for start in range(0, nu.size, SWEEP_CHUNK):
             p[start:start + SWEEP_CHUNK] = self.pair_transforms(nu[start:start + SWEEP_CHUNK])
-        phase = np.exp(1j * self.cfg.phi_L)
         scale = self.params.gamma / (np.pi * self.cfg.geometry_weight)
-        ladder = scale * (p[:, 0, 0] + p[:, 1, 1]).real
-        crossed = scale * (p[:, 0, 1] * phase + p[:, 1, 0] * np.conj(phase)).real
-        return ladder, crossed
+        ladder, crossed = channels(p, self.cfg.phi_L)
+        return scale * ladder, scale * crossed
 
     def spectrum(self, points: int = 2000) -> SpectrumResult:
         """Densities and elastic weights on the default frequency grid of

@@ -11,6 +11,8 @@ open items.  Background for every open item is in the README, section
 
 import pytest
 
+from cbs2.acceptance import AcceptanceSuite
+
 KNOWN_OPEN = {
     "weak-spectrum": {"weak-spectrum-pointwise"},
     "strong-peaks": {
@@ -163,3 +165,8 @@ def test_criterion_13_geometry_monte_carlo(suite):
         "isotropic geometry factor reproduces 2/15 within Monte Carlo error",
     )
     assert rows["mc-deterministic"].passed
+
+
+def test_unknown_profile_is_refused():
+    with pytest.raises(ValueError, match="unknown tolerance profile"):
+        AcceptanceSuite(profile="slow")

@@ -223,3 +223,12 @@ def test_wide_shell_increases_fringe_decay():
         AverageSpec(samples=1_000_000, seed=11, ell_k0=k_ell, width_frac=0.9), theta
     )
     assert wide < sharp
+
+
+def test_theta_beyond_pi_is_refused():
+    # 2 sin(theta/2) folds theta > pi back onto 2 pi - theta
+    spec = AverageSpec(samples=10)
+    for method in (mc_average, exact_average):
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
+            method(spec, 3.2)
+        method(spec, math.pi)

@@ -274,6 +274,8 @@ def test_mc_average_output_and_determinism(tmp_path, capsys):
 def test_mc_average_bad_parameters(capsys):
     assert run(capsys, "mc-average", "--samples", "0")[0] == 1
     assert run(capsys, "mc-average", "--theta", "-1")[0] == 1
+    # past pi, 2 sin(theta/2) folds back: 10 would print 4 pi - 10's numbers
+    assert run(capsys, "mc-average", "--theta", "10")[0] == 1
     assert run(capsys, "mc-average", "--width-frac", "1.5")[0] == 1
     # one sample has no spread, so its standard error would be nan
     assert run(capsys, "mc-average", "--samples", "1")[0] == 1
@@ -423,3 +425,20 @@ def test_unwritable_output_exits_2(capsys):
         "--out", "/nonexistent-dir/x.csv",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("line", ["points 4", "points ="], ids=["no-equals", "empty-value"])
+def test_config_line_without_a_value_exits_1(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, "enhancement-curve", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert "expected key = value" in err
+
+
+def test_spectrum_one_point_grid_exits_1(capsys):
+    code, out, err = run(capsys, "spectrum", "--omega", "1", "--points", "1")
+    assert code == 1
+    assert out == ""
+    assert "need at least 2 points" in err

@@ -536,3 +536,8 @@ def test_free_generator_reduces_to_single_atom(gen_rng):
     reduced = partial_trace(apply(gen, np.kron(a, b)), 1)
     want = (single @ a.reshape(-1)).reshape(4, 4)
     assert np.allclose(reduced, want, atol=1e-11)
+
+
+def test_exchange_entries_refuse_a_tensor_that_is_not_3_by_3():
+    with pytest.raises(ValueError, match="3 x 3"):
+        _exchange_entries(np.eye(2))

@@ -203,3 +203,10 @@ def test_configuration_takes_no_distance_or_angle(name):
     # average is mc_average's and its mean distance AverageSpec.ell_k0
     with pytest.raises(TypeError):
         Configuration(**{name: 1000.0})
+
+
+def test_three_vector_shape_is_checked():
+    with pytest.raises(ValueError, match="3-vector"):
+        transverse_projector(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="3-vector"):
+        Configuration(n_hat=np.array([1.0, 0.0]))

@@ -18,6 +18,7 @@ from cbs2 import generators, oracle, perturbation
 from cbs2.generators import (
     HILBERT_DIM,
     LIOUVILLE_DIM,
+    TRACE_VECTOR,
     OperatorEntries,
     exchange_entries,
     exchange_generators,
@@ -35,7 +36,9 @@ from cbs2.perturbation import (
     _steady_state,
     _trace_row_solve,
     build_expansion,
+    channels,
     checked_geometry_weight,
+    detected_transition,
     intensity_terms,
     mean_dipole_orders,
     nonperturbative_intensity,
@@ -250,6 +253,26 @@ def test_zeroth_order_refuses_non_finite_generator(bad, entry):
     gen[entry] = bad
     with pytest.raises(ValueError, match="non-finite"):
         zeroth_steady_state(gen)
+
+
+def stationary_generator(rho):
+    """A generator whose one stationary state is rho: x -> rho tr(x) - x."""
+    return np.outer(rho.reshape(-1), TRACE_VECTOR) - np.eye(LIOUVILLE_DIM)
+
+
+def test_zeroth_order_refuses_a_state_outside_the_population_sector():
+    # rho_01 joins the sector of the populations, its Hermitian partner
+    # rho_10 does not
+    rho = np.zeros((HILBERT_DIM, HILBERT_DIM), dtype=complex)
+    rho[0, 0], rho[0, 1] = 1.0, 0.3
+    with pytest.raises(RuntimeError, match="outside the sector of the populations"):
+        zeroth_steady_state(stationary_generator(rho))
+
+
+def test_zeroth_order_refuses_a_state_that_is_not_positive():
+    rho = np.diag([1.5, -0.5] + [0.0] * (HILBERT_DIM - 2)).astype(complex)
+    with pytest.raises(RuntimeError, match="not positive semidefinite"):
+        zeroth_steady_state(stationary_generator(rho))
 
 
 def test_traceless_solver_contract():
@@ -736,3 +759,84 @@ def test_nonperturbative_cross_check():
     # the ring solve carries O(RING_COUPLING^2) relative corrections
     assert ladder == pytest.approx(terms.ladder_total, rel=1e-4)
     assert crossed == pytest.approx(terms.crossed_total, rel=1e-4)
+
+
+def test_channels_read_each_entry_of_the_pair_matrix():
+    # a stack of two pair matrices whose entries all differ, so that a
+    # dropped or swapped entry or a conjugated phase shows
+    pair = np.array([
+        [[1.0 + 2.0j, 3.0 - 1.0j], [-2.0 + 5.0j, 7.0 + 0.5j]],
+        [[0.3j, 2.0 - 4.0j], [1.5 + 1.0j, -4.0]],
+    ])
+    phi_L = 0.7
+    phase = np.exp(1j * phi_L)
+    ladder, crossed = channels(pair, phi_L)
+    assert ladder.shape == crossed.shape == (2,)
+    for k, p in enumerate(pair):
+        assert ladder[k] == (p[0, 0] + p[1, 1]).real
+        # exp(-i phi_L) is the conjugate of exp(i phi_L)
+        assert crossed[k] == (p[0, 1] * phase + p[1, 0] * np.conj(phase)).real
+
+
+def test_detected_transition_is_cached_and_read_only():
+    record = detected_transition()
+    assert record is detected_transition()
+    for array in record:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_pair_matrix_is_the_trace_of_the_dipole_products():
+    rng = np.random.default_rng(5)
+    rho = rng.standard_normal((HILBERT_DIM, HILBERT_DIM)) + 1j * rng.standard_normal(
+        (HILBERT_DIM, HILBERT_DIM)
+    )
+    record = detected_transition()
+    got = record.pair(rho)
+    for a in (1, 2):
+        raising = transition_operator(a, 2, "raising")
+        np.testing.assert_array_equal(record.raising[a - 1], raising)
+        assert record.lowering[a - 1] @ rho.reshape(-1) == pytest.approx(
+            np.trace(transition_operator(a, 2, "lowering") @ rho), rel=1e-15
+        )
+        for b in (1, 2):
+            want = np.trace(raising @ transition_operator(b, 2, "lowering") @ rho)
+            assert got[a - 1, b - 1] == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    ("s", "n_hat", "phi_L"),
+    [
+        (0.1, (1.0, 0.0, 0.0), 0.0),
+        (1.0, (0.6, 0.0, 0.8), 1.3),
+        (10.0, (0.3, -0.5, 0.6), 2.9),
+        (100.0, (-0.2, 0.9, 0.1), 5.0),
+    ],
+)
+def test_intensity_terms_equal_the_operator_formulas(s, n_hat, phi_L):
+    # the totals and elastic parts as they were written before the pair
+    # matrix: the detected populations, twice the real part of one
+    # cross-coherence, and sums of mean-dipole products
+    cfg = Configuration(n_hat=np.array(n_hat) / np.linalg.norm(n_hat), phi_L=phi_L)
+    pert = build_expansion(PhysParams.from_saturation(s), cfg)
+    terms = intensity_terms(pert, cfg)
+    rho_11, phase = pert[(1, 1)], np.exp(1j * phi_L)
+    raising = [transition_operator(a, 2, "raising") for a in (1, 2)]
+    populations = transition_operator(1, 2, "projector") + transition_operator(2, 2, "projector")
+    cross_op = raising[0] @ transition_operator(2, 2, "lowering")
+    ladder = np.trace(populations @ rho_11).real
+    crossed = 2.0 * (np.trace(cross_op @ rho_11) * phase).real
+    d1, d2 = ({key: np.trace(r @ state) for key, state in pert.orders.items()} for r in raising)
+    ladder_elastic = sum(abs(d[(1, 0)]) ** 2 + abs(d[(0, 1)]) ** 2 for d in (d1, d2))
+    pair = d1[(1, 0)] * np.conj(d2[(1, 0)]) + d1[(0, 1)] * np.conj(d2[(0, 1)])
+    crossed_elastic = 2.0 * (pair * phase).real
+    want = {
+        "ladder_total": ladder,
+        "crossed_total": crossed,
+        "ladder_elastic": ladder_elastic,
+        "crossed_elastic": crossed_elastic,
+        "ladder_inelastic": ladder - ladder_elastic,
+        "crossed_inelastic": crossed - crossed_elastic,
+    }
+    for name, value in want.items():
+        assert getattr(terms, name) == pytest.approx(value, rel=1e-12), name

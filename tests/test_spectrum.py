@@ -30,6 +30,7 @@ from cbs2.geometry import Configuration, PhysParams
 from cbs2.perturbation import (
     DeflatedResolvent,
     build_expansion,
+    channels,
     intensity_terms,
     zeroth_steady_state,
 )
@@ -901,6 +902,12 @@ def test_grid_coverage_guards():
 def test_spectrum_result_validation():
     nu = np.linspace(-1.0, 1.0, 11)
     good = np.ones_like(nu)
+    with pytest.raises(ValueError, match="at least 2 points"):
+        SpectrumResult(
+            nu=nu[:1], ladder_inel=good[:1], crossed_inel=good[:1],
+            ladder_el_weight=0.0, crossed_el_weight=0.0,
+            omega=1.0, gamma=1.0, delta=0.0,
+        )
     with pytest.raises(ValueError):
         SpectrumResult(
             nu=nu[::-1], ladder_inel=good, crossed_inel=good,
@@ -1031,3 +1038,13 @@ def test_oracle_spectrum_result_integrates_to_closed_totals():
 
     with pytest.raises(ValueError):
         oracle_spectrum_result(1.0, regime="banana")
+
+
+def test_densities_are_the_channels_of_the_pair_transforms():
+    # one sweep chunk, so both read the same resolvent calls
+    engine = SpectrumEngine(PhysParams(omega=3.0), Configuration(phi_L=0.9))
+    nu = np.linspace(-10.0, 10.0, SWEEP_CHUNK)
+    scale = engine.params.gamma / (np.pi * engine.cfg.geometry_weight)
+    want = channels(engine.pair_transforms(nu), engine.cfg.phi_L)
+    for got, expected in zip(engine.densities(nu), want):
+        assert got.tobytes() == (scale * expected).tobytes()
